@@ -38,7 +38,7 @@ func main() {
 		full    = flag.Bool("full", false, "paper-scale sweeps (576-config grids, 75 MB downloads)")
 		csvdir  = flag.String("csvdir", "", "also write each table as CSV into this directory")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = sequential); output is identical for any value")
-		shards  = flag.Int("shards", 0, "worker shards per simulation (0 = single engine); multi-cluster topologies split one run across cores, output is identical for any value")
+		shards  = flag.Int("shards", 0, "worker goroutines per simulation; output is identical for any value")
 		tracef  = flag.String("trace", "", "write a JSONL probe trace of every simulation to this file (forces -workers 1 for run-order reproducibility)")
 		timelf  = flag.String("timeline", "", "write each run's windowed series as a timeline-dump line to this file (mpcctrace timeline reads it; forces -workers 1)")
 		flrecf  = flag.String("flightrec", "", "write the flight recorder — the last ~4k probe events across all runs — to this file on exit (forces -workers 1)")

@@ -30,10 +30,10 @@ type ServerSpec struct {
 // freshly opened connection, and close. Being open-loop, arrivals do not
 // slow down when the network saturates — overload must be absorbed by
 // admission control and client retry, which is the point of the churn
-// experiments. A spec forces the legacy single-engine path (sessions come
-// and go, so the static flow partition sharding needs does not exist); all
-// randomness comes from generators seeded off Spec.Seed, never from the
-// engine RNG, so traces stay byte-identical for any worker count.
+// experiments. Run places all servers' paths in one interaction component
+// and drives the workload on that component's engine; arrivals, sizes and
+// backoff come from generators seeded off Spec.Seed, never from the engine
+// RNG.
 type ChurnSpec struct {
 	Servers []ServerSpec
 

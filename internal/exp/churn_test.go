@@ -59,8 +59,7 @@ func TestChurnOverloadSheds(t *testing.T) {
 }
 
 // TestChurnDeterminism pins the workload to the run seed: identical for any
-// worker count and any Shards value (churn forces the legacy engine), and
-// sensitive to the seed.
+// worker count and any Shards value, and sensitive to the seed.
 func TestChurnDeterminism(t *testing.T) {
 	cfg := churnTestConfig()
 	base := Run(ChurnSpecAt(cfg, 1.3)).Churn

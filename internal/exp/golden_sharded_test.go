@@ -10,12 +10,9 @@ import (
 	"mpcc/internal/obs"
 )
 
-// TestGoldenTraceSharded is the space-parallel determinism gate: both
-// golden runs, executed under the sharded engine at shards 1, 2 and 4,
-// must reproduce the committed single-engine golden traces byte for byte.
-// The golden topology is a single interaction component, so this pins
-// sharded == legacy exactly; the shard-count sweep pins worker-count
-// independence on top.
+// TestGoldenTraceSharded is the worker-count determinism gate: both golden
+// runs, executed at shards 1, 2 and 4, must reproduce the committed golden
+// traces byte for byte.
 func TestGoldenTraceSharded(t *testing.T) {
 	cases := []struct {
 		name   string

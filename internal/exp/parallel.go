@@ -36,6 +36,24 @@ func SetWorkers(n int) {
 // Workers returns the current worker pool size.
 func Workers() int { return int(workerCount.Load()) }
 
+// defaultShards is the package-default worker count for one simulation's
+// component engines (SetShards), used when Spec.Shards is 0.
+var defaultShards = 1
+
+// SetShards sets the package-default number of worker goroutines that
+// advance one simulation's component engines, for specs that leave
+// Spec.Shards at 0; n < 1 means 1. Output is identical for any value.
+func SetShards(n int) { defaultShards = max(n, 1) }
+
+// workers resolves the spec's per-simulation worker count.
+func (s *Spec) workers() int {
+	n := s.Shards
+	if n == 0 {
+		n = defaultShards
+	}
+	return max(n, 1)
+}
+
 // simsRun counts completed simulations process-wide, for throughput
 // reporting (effective simulations/sec in cmd/mpccbench).
 var simsRun atomic.Uint64

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 
 	"mpcc/internal/netem"
 	"mpcc/internal/obs"
@@ -41,7 +42,8 @@ type Spec struct {
 	// accumulates their metrics into a single registry.
 	Probes *obs.Bus
 	// Tweak adjusts link parameters (buffer, loss, bandwidth) after the
-	// topology is built and may schedule mid-run changes on net.Eng.
+	// topology is built and may schedule mid-run changes on the changed
+	// link's engine (Link.Engine; net.Eng is the first component's).
 	Tweak func(net *topo.Net)
 	// Flows overrides the topology's flow list; when nil, Protos assigns a
 	// protocol to each topology flow: the multipath protocol to multipath
@@ -50,24 +52,15 @@ type Spec struct {
 	Proto Protocol // used when Flows is nil
 	// SPProto overrides the single-path peer protocol (Figs. 12–13 use Cubic).
 	SPProto Protocol
-	// Shards selects space-parallel execution: the topology is partitioned
-	// into interaction components (topo.PartitionLinks), each component runs
-	// on its own engine, and up to Shards worker goroutines advance them
-	// under the conservative scheduler (sim.Group). The shard count only
-	// sets worker parallelism — the partition, per-shard seeds, and event
-	// orders are fixed by the topology — so any Shards >= 1 produces
-	// byte-identical traces and snapshots, and on single-component
-	// topologies (every flow interacting, e.g. the golden-trace figures)
-	// the output is additionally byte-identical to the unsharded engine.
-	// 0 consults the package default (SetShards); negative forces the
-	// legacy single-engine path regardless of the default. Sharded
-	// execution requires Duration > 0.
+	// Shards is the number of worker goroutines that advance the run's
+	// per-component engines (see Run); 0 uses the package default
+	// (SetShards), and any value below 1 means 1. It never changes the
+	// output: every value yields byte-identical traces, snapshots, and
+	// results.
 	Shards int
 	// Churn, if set, overlays an open-loop session workload on the run:
 	// connections arrive, transfer, and close under admission control (see
-	// ChurnSpec). Churn forces the legacy single-engine path — its sessions
-	// are created mid-run, invisible to the static flow partition sharding
-	// is built on — so any Shards value still yields identical output.
+	// ChurnSpec).
 	Churn *ChurnSpec
 }
 
@@ -144,15 +137,29 @@ func (s *Spec) flowsFor() []FlowSpec {
 	return out
 }
 
-// Run executes the spec and summarizes it. When the spec (or the package
-// default) selects sharding, the run is dispatched to the space-parallel
-// engine; see Spec.Shards for the determinism contract.
-func Run(s Spec) *Result {
+// Run executes the spec and summarizes it.
+//
+// The topology is partitioned into interaction components — the connected
+// components of the links∪flows graph over the run's effective flows, with
+// all churn servers forming one more flow (topo.PartitionLinks) — and each
+// component runs on its own engine, seeded sim.ShardSeed(Seed, component).
+// Components share no state, so up to Spec.Shards workers advance them side
+// by side. Each engine is strictly sequential and its seed depends only on
+// its component index, so the output is byte-identical for any worker
+// count; a single-component topology is exactly one engine seeded Seed.
+//
+// Probe events cannot go straight into the run bus from concurrent
+// components: each component records into a private buffer, and at the end
+// of every replayWindow of virtual time the buffers are k-way merged on
+// (At, component) into the run bus and reset (see probeReplay). A per-flow
+// Attach.Probes bus is delivered live and must not be shared across
+// components.
+func Run(s Spec) *Result { return run(s, nil) }
+
+// run is Run with a hook that observes how many probe events each replay
+// flush drains (nil outside tests).
+func run(s Spec, onFlush func(buffered int)) *Result {
 	defer countSim()
-	if workers := s.shardWorkers(); workers > 0 {
-		return runSharded(s, workers)
-	}
-	eng := sim.NewEngine(s.Seed)
 	bus := s.Probes
 	if bus == nil && probeFactory != nil {
 		bus = probeFactory()
@@ -160,31 +167,60 @@ func Run(s Spec) *Result {
 	if bus != nil && bus.Registry() == nil {
 		bus.SetRegistry(obs.NewRegistry())
 	}
-	net := s.Topo.Build(eng)
+
+	flows := s.flowsFor()
+	groups := make([][][]string, 0, len(flows)+1)
+	for _, f := range flows {
+		groups = append(groups, f.Paths)
+	}
+	var farm [][]string
+	if s.Churn != nil {
+		// One arrival stream and one server-choice RNG drive every server,
+		// so the whole farm is a single component.
+		for _, sv := range s.Churn.Servers {
+			farm = append(farm, sv.Paths...)
+		}
+		groups = append(groups, farm)
+	}
+	part := topo.PartitionLinks(s.Topo.Links, groups)
+	net, engines := part.Build(s.Topo, s.Seed)
 	if s.Tweak != nil {
 		s.Tweak(net)
 	}
+	componentOf := func(paths [][]string) int {
+		if len(paths) == 0 || len(paths[0]) == 0 {
+			return 0
+		}
+		return part.ComponentOf(paths[0][0])
+	}
+
+	rep := newProbeReplay(bus, len(engines), onFlush)
 	if bus != nil {
 		bus.RunStart(s.Seed, s.Duration)
-		// LinkNames is creation order, so probe wiring (and hence the trace)
-		// never depends on map iteration.
-		qps := make([]obs.QueueProbe, 0, len(net.LinkNames()))
+		// Probe wiring follows LinkNames (creation) order, so it never
+		// depends on map iteration; each component samples its own links
+		// on its own engine.
+		qps := make([][]obs.QueueProbe, len(engines))
 		for _, name := range net.LinkNames() {
 			l := net.Link(name)
-			l.SetProbes(bus)
-			qps = append(qps, l.QueueProbe())
+			c := part.ComponentOf(name)
+			l.SetProbes(rep.comp[c])
+			qps[c] = append(qps[c], l.QueueProbe())
 		}
 		if s.Duration > 0 {
-			obs.SampleQueues(eng, bus, queueSampleEvery, qps...)
+			for c, eng := range engines {
+				obs.SampleQueues(eng, rep.comp[c], queueSampleEvery, qps[c]...)
+			}
 		}
 	}
-	flows := s.flowsFor()
+
 	conns := make(map[string]*transport.Connection, len(flows))
 	for _, f := range flows {
+		c := componentOf(f.Paths)
 		ps := buildPaths(net, f.Paths)
 		for _, p := range ps {
 			if bus != nil {
-				p.SetProbes(bus)
+				p.SetProbes(rep.comp[c])
 			}
 			if f.PathTweak != nil {
 				f.PathTweak(p)
@@ -192,9 +228,9 @@ func Run(s Spec) *Result {
 		}
 		at := f.Attach
 		if at.Probes == nil {
-			at.Probes = bus
+			at.Probes = rep.comp[c]
 		}
-		conn := Attach(eng, f.Name, f.Proto, ps, at)
+		conn := Attach(engines[c], f.Name, f.Proto, ps, at)
 		if f.FileBytes > 0 {
 			conn.SetApp(transport.NewFile(f.FileBytes), nil)
 		} else {
@@ -205,10 +241,31 @@ func Run(s Spec) *Result {
 	}
 	var churn *churnDriver
 	if s.Churn != nil {
-		churn = startChurn(eng, &s, net, bus)
+		c := componentOf(farm)
+		churn = startChurn(engines[c], &s, net, rep.comp[c])
 	}
-	eng.Run(s.Duration)
-	res := finish(s, net, conns, bus, eng.Processed, eng.MaxPending(), eng.Now())
+
+	g := sim.NewGroup(engines...)
+	g.SetWorkers(s.workers())
+	if s.Duration <= 0 {
+		g.Run(0)
+		rep.flush()
+	}
+	for t := sim.Time(0); t < s.Duration; {
+		t = min(t+replayWindow, s.Duration)
+		g.Run(t)
+		rep.flush()
+	}
+
+	var events uint64
+	var maxPending int
+	var endAt sim.Time
+	for _, e := range engines {
+		events += e.Processed
+		maxPending = max(maxPending, e.MaxPending())
+		endAt = max(endAt, e.Now())
+	}
+	res := finish(s, net, conns, bus, events, maxPending, endAt)
 	if churn != nil {
 		res.Churn = churn.snapshot()
 	}
@@ -216,9 +273,8 @@ func Run(s Spec) *Result {
 }
 
 // finish publishes the engine gauges, snapshots the registry, closes the
-// trace, and summarizes goodputs — the tail shared by the single-engine
-// and sharded runners. events and maxPending aggregate over shard engines
-// (sum and max respectively); for one engine they are its exact values.
+// trace, and summarizes goodputs. events and maxPending aggregate over the
+// component engines (sum and max respectively).
 func finish(s Spec, net *topo.Net, conns map[string]*transport.Connection,
 	bus *obs.Bus, events uint64, maxPending int, endAt sim.Time) *Result {
 	res := &Result{Flows: make(map[string]*FlowResult, len(conns)), Net: net, Conns: conns, Events: events}
@@ -233,9 +289,17 @@ func finish(s Spec, net *topo.Net, conns map[string]*transport.Connection,
 		}
 		bus.RunEnd(endAt)
 	}
-	var goodputs []float64
+	// Fold in flow-name order: map order would make the float sums (and so
+	// Utilization and Jain) vary between identical runs.
+	names := make([]string, 0, len(conns))
+	for name := range conns {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	goodputs := make([]float64, 0, len(names))
 	total := 0.0
-	for name, conn := range conns {
+	for _, name := range names {
+		conn := conns[name]
 		fr := &FlowResult{FCT: conn.FCT()}
 		fr.GoodputBps = conn.MeanGoodputBps(s.Warmup, s.Duration)
 		fr.MinGoodputBps, fr.MaxGoodputBps = fr.GoodputBps, fr.GoodputBps

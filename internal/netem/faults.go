@@ -20,9 +20,9 @@ func NewFaultInjector(eng *sim.Engine) *FaultInjector {
 }
 
 // checkEngine rejects links living on a different engine than the
-// injector's clock: under sharded execution (exp.Spec.Shards) that would
-// mutate link state from another shard's event stream. Build one injector
-// per shard (l.Engine()) instead.
+// injector's clock: exp.Run puts each interaction component on its own
+// engine, so that would mutate link state from another component's event
+// stream. Build one injector per engine (l.Engine()) instead.
 func (fi *FaultInjector) checkEngine(l *Link) {
 	if fi.eng != l.eng {
 		panic("netem: fault injector engine differs from link " + l.Name + "'s engine")

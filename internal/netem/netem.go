@@ -363,10 +363,10 @@ func (l *Link) SetLoss(p float64) {
 // Rate returns the current serialization rate in bits/s.
 func (l *Link) Rate() float64 { return l.rateBps }
 
-// Engine returns the engine the link schedules on. Under space-parallel
-// execution (exp.Spec.Shards) different links live on different shard
-// engines, so anything that schedules against a link — fault injectors,
-// handover and rate schedules, probes — must use the link's own engine.
+// Engine returns the engine the link schedules on. exp.Run puts links of
+// different interaction components on different engines, so anything that
+// schedules against a link — fault injectors, handover and rate schedules,
+// probes — must use the link's own engine.
 func (l *Link) Engine() *sim.Engine { return l.eng }
 
 // Delay returns the current propagation delay.

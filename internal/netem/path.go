@@ -71,7 +71,7 @@ func (p *Path) release(pkt *Packet) {
 
 // NewPath builds a path over links on engine eng. Every link must live on
 // that same engine: a path is a strictly local object (its packets and
-// feedback events all schedule on eng), so a link from another shard would
+// feedback events all schedule on eng), so a link from another engine would
 // silently corrupt event ordering — it panics instead.
 func NewPath(eng *sim.Engine, name string, links ...*Link) *Path {
 	for _, l := range links {

@@ -1,11 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine:
 // a virtual clock, a cancellable timer queue, and a seeded random source.
 //
-// All experiments in this repository run on a single Engine per simulation.
+// An experiment runs one Engine per interaction component of its topology.
 // The engine is intentionally single-threaded: events execute one at a time
 // in (time, insertion-order) order, which makes every run bit-reproducible
-// for a given seed. Distinct engines share no state, so independent
-// simulations may run concurrently (see exp.RunParallel).
+// for a given seed. Distinct engines share no state, so the components of
+// one simulation (Group) and independent simulations (exp.RunParallel) may
+// run concurrently.
 //
 // The event core is allocation-conscious and built for timer churn: the
 // queue is a single-level hashed timing wheel (O(1) insert and cancel for
@@ -71,11 +72,11 @@ const (
 // fires; stopping an already-fired or already-stopped timer is a no-op.
 //
 // Exactly one of fn (a closure, scheduled via At/After) or afn+arg (a
-// closure-free callback, scheduled via AtArg/Schedule/ScheduleRef) is set
+// closure-free callback, scheduled via Schedule/ScheduleRef) is set
 // while the timer is pending. Timers created by Schedule and ScheduleRef are
 // pooled: they recycle through the engine free list the moment they fire or
 // are stopped, with a generation counter (see TimerRef) keeping stale
-// handles harmless. Timers returned by At/AtArg/After are never recycled —
+// handles harmless. Timers returned by At/After are never recycled —
 // callers may hold the bare *Timer arbitrarily long after firing and a
 // stale Stop must remain a harmless no-op, which a reused Timer could not
 // guarantee.
@@ -436,18 +437,6 @@ func (e *Engine) At(at Time, fn func()) *Timer {
 	return t
 }
 
-// AtArg schedules afn(arg) at absolute virtual time at and returns a
-// cancellable handle. Unlike At it captures no closure: afn is typically a
-// static function and arg a pointer, so the only allocation is the Timer
-// itself. Prefer ScheduleRef on hot paths — it recycles the Timer too.
-func (e *Engine) AtArg(at Time, afn func(any), arg any) *Timer {
-	e.checkFuture(at)
-	e.seq++
-	t := &Timer{at: at, seq: e.seq, afn: afn, arg: arg, eng: e, index: timerIdle}
-	e.enqueue(t)
-	return t
-}
-
 // grabPooled returns a free-list timer (allocating a slab when empty),
 // initialized for (at, afn, arg) at the next sequence number.
 func (e *Engine) grabPooled(at Time, afn func(any), arg any) *Timer {
@@ -488,9 +477,9 @@ func (e *Engine) Schedule(at Time, afn func(any), arg any) {
 // ScheduleRef schedules afn(arg) at absolute virtual time at and returns a
 // generation-checked cancellable handle. The backing Timer is pooled like
 // Schedule's: it recycles the moment it fires or is stopped, and the
-// TimerRef's generation makes any stale handle a harmless no-op. This is
-// the zero-allocation replacement for AtArg on hot cancel-heavy paths
-// (retransmission, pacing, delayed-ACK and monitor-interval timers).
+// TimerRef's generation makes any stale handle a harmless no-op. Hot
+// cancel-heavy paths (retransmission, pacing, delayed-ACK and
+// monitor-interval timers) use it to schedule without allocating.
 func (e *Engine) ScheduleRef(at Time, afn func(any), arg any) TimerRef {
 	e.checkFuture(at)
 	t := e.grabPooled(at, afn, arg)
@@ -573,33 +562,6 @@ func (e *Engine) Step() bool {
 // Pending returns the number of queued timers. Stopped timers are removed
 // from the queue eagerly, so they are never counted.
 func (e *Engine) Pending() int { return len(e.heap) + e.wheelCount }
-
-// NextAt returns the virtual time of the earliest pending timer without
-// executing or dequeueing anything, and ok=false when the queue is empty.
-// The conservative shard scheduler (Group) polls this between synchronization
-// windows to size the next window.
-//
-// The earliest wheel timer always lives in the first occupied slot after the
-// frontier: slots are indexed by at>>wheelShift, so every timer in a later
-// slot is strictly later than every timer in an earlier one. Within a slot
-// the list is unordered, so the slot is scanned; slots hold one ~65 µs batch
-// of timers, which keeps the scan short.
-func (e *Engine) NextAt() (Time, bool) {
-	var best Time
-	ok := false
-	if len(e.heap) > 0 {
-		best, ok = e.heap[0].at, true
-	}
-	if e.wheelCount > 0 {
-		idx := e.nextOccupied() & wheelMask
-		for t := e.wheel[idx]; t != nil; t = t.next {
-			if !ok || t.at < best {
-				best, ok = t.at, true
-			}
-		}
-	}
-	return best, ok
-}
 
 // MaxPending returns the high-water mark of queued timers over the engine's
 // lifetime — a proxy for how much simultaneous in-flight state a scenario

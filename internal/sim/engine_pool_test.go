@@ -29,6 +29,25 @@ func TestStopRemovesEagerly(t *testing.T) {
 	}
 	_ = a
 	_ = c
+
+	// The same contract for a pooled, closure-free ScheduleRef handle: the
+	// argument reaches the callback, a stopped timer never fires, and a
+	// Stop after the run is a no-op.
+	var got []int
+	record := func(a any) { got = append(got, *a.(*int)) }
+	x, y := 1, 2
+	e.ScheduleRef(40, record, &x)
+	h := e.ScheduleRef(50, record, &y)
+	if !h.Stop() {
+		t.Fatal("Stop on a pending ScheduleRef timer returned false")
+	}
+	e.Run(0)
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("got %v, want [1]", got)
+	}
+	if h.Stop() {
+		t.Fatal("Stop after run returned true")
+	}
 }
 
 // TestHeapOrderUnderRandomRemovals stresses removeAt: random timers are
@@ -75,25 +94,6 @@ func TestHeapOrderUnderRandomRemovals(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("firing order diverges at %d: got event %d, want %d", i, fired[i], want[i])
 		}
-	}
-}
-
-func TestAtArg(t *testing.T) {
-	e := NewEngine(1)
-	var got []int
-	record := func(a any) { got = append(got, *a.(*int)) }
-	x, y := 1, 2
-	e.AtArg(10, record, &x)
-	h := e.AtArg(20, record, &y)
-	if !h.Stop() {
-		t.Fatal("Stop on pending AtArg timer returned false")
-	}
-	e.Run(0)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("got %v, want [1]", got)
-	}
-	if h.Stop() {
-		t.Fatal("Stop after run returned true")
 	}
 }
 

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ShardSeed derives the deterministic RNG seed for shard index i of a
@@ -17,260 +17,52 @@ func ShardSeed(seed int64, i int) int64 {
 	return seed ^ int64(uint64(i)*0x9E3779B97F4A7C15)
 }
 
-// msg is one cross-shard event handoff: a callback to run on the receiving
-// engine at absolute virtual time at. seq is the send order within the
-// channel and only exists for diagnostics — FIFO order is preserved
-// structurally by the buffer.
-type msg struct {
-	at Time
-	fn func()
-}
-
-// Channel is a unidirectional cross-shard event conduit with a declared
-// minimum latency. The sending shard calls Send from inside one of its own
-// events; the message is buffered and injected into the receiving engine at
-// the next synchronization barrier. Because every message is timestamped at
-// least minDelay after its send time, and the group's lookahead window is
-// the minimum minDelay over all channels, a message can never be due inside
-// the window it was sent in — the conservative-execution invariant.
-//
-// A Channel may only be used by events running on its source engine. The
-// barrier provides the happens-before edges: the coordinator drains buf
-// strictly between windows, so buf is never accessed concurrently.
-type Channel struct {
-	g        *Group
-	from, to int
-	minDelay Time
-	buf      []msg
-	sent     uint64
-}
-
-// MinDelay reports the channel's declared minimum latency.
-func (c *Channel) MinDelay() Time { return c.minDelay }
-
-// Send schedules fn on the receiving shard at absolute time at. It must be
-// called from an event executing on the source engine, and at must be at
-// least minDelay after the source clock — violating the declared latency
-// would break the lookahead contract, so it panics loudly.
-func (c *Channel) Send(at Time, fn func()) {
-	now := c.g.engines[c.from].Now()
-	if at < now+c.minDelay {
-		panic(fmt.Sprintf("sim: cross-shard send at %v violates min delay %v (now %v)", at, c.minDelay, now))
-	}
-	c.buf = append(c.buf, msg{at: at, fn: fn})
-	c.sent++
-}
-
-// Group coordinates a set of shard engines under conservative (YAWNS-style)
-// windowed execution. Each window it computes the earliest pending event
-// time `next` across all shards, runs every shard in parallel up to
-// end = next + lookahead - 1 (lookahead = min cross-shard Channel latency),
-// then injects the window's buffered cross-shard messages in a canonical
-// order before opening the next window. Safety: every event executed inside
-// a window has time ≥ next, so every message it sends is stamped
-// ≥ next + lookahead = end + 1 — strictly after the window — and therefore
-// cannot have been due inside it.
-//
-// Determinism: each shard is a sequential Engine processing its own events
-// in (at, seq) order regardless of how windows slice the timeline, and
-// message injection between windows follows a canonical order (destination
-// shard index, then channel registration order, then FIFO within a
-// channel), so the seq numbers injected events receive are reproducible.
-// The worker count only changes which OS threads advance which shard — it
-// can never change any shard's event order.
+// Group advances engines that share no state — the per-component engines
+// of a partitioned topology — on up to a set number of worker goroutines.
+// Each engine stays strictly sequential, so the worker count only changes
+// which goroutine runs an engine, never any engine's event order.
 type Group struct {
-	engines   []*Engine
-	chans     []*Channel
-	inbound   [][]*Channel // per dest engine index, in Connect order
-	lookahead Time
-	workers   int
+	engines []*Engine
+	workers int
 }
 
-// NewGroup builds a shard group over the given engines. The engines must be
-// distinct; index order is the canonical shard order used for barriers and
-// message injection.
-func NewGroup(engines ...*Engine) *Group {
-	if len(engines) == 0 {
-		panic("sim: NewGroup needs at least one engine")
-	}
-	seen := make(map[*Engine]bool, len(engines))
-	for _, e := range engines {
-		if e == nil {
-			panic("sim: NewGroup given a nil engine")
-		}
-		if seen[e] {
-			panic("sim: NewGroup given a duplicate engine")
-		}
-		seen[e] = true
-	}
-	return &Group{
-		engines: engines,
-		inbound: make([][]*Channel, len(engines)),
-		workers: 1,
-	}
-}
+// NewGroup groups independent engines; it runs them sequentially until
+// SetWorkers says otherwise.
+func NewGroup(engines ...*Engine) *Group { return &Group{engines: engines, workers: 1} }
 
-// Engines returns the group's shard engines in canonical order.
-func (g *Group) Engines() []*Engine { return g.engines }
+// SetWorkers sets how many goroutines Run may use; n < 1 means 1.
+func (g *Group) SetWorkers(n int) { g.workers = n }
 
-// SetWorkers sets how many goroutines advance shards inside each window.
-// n < 1 or n == 1 selects sequential execution; n is capped at the shard
-// count. Any value yields byte-identical results — workers trade wall
-// clock, never determinism.
-func (g *Group) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(g.engines) {
-		n = len(g.engines)
-	}
-	g.workers = n
-}
-
-// Lookahead reports the group's synchronization window: the minimum
-// latency over all cross-shard channels, or 0 when no channels exist (the
-// shards are independent and each window runs straight to the horizon).
-func (g *Group) Lookahead() Time { return g.lookahead }
-
-// Connect declares a unidirectional cross-shard conduit from one engine to
-// another with a guaranteed minimum latency. minDelay must be positive —
-// a zero-latency edge admits no conservative window. Both engines must
-// belong to the group and must differ.
-func (g *Group) Connect(from, to *Engine, minDelay Time) *Channel {
-	if minDelay <= 0 {
-		panic("sim: Connect needs a positive min delay")
-	}
-	fi, ti := g.index(from), g.index(to)
-	if fi == ti {
-		panic("sim: Connect from a shard to itself")
-	}
-	c := &Channel{g: g, from: fi, to: ti, minDelay: minDelay}
-	g.chans = append(g.chans, c)
-	g.inbound[ti] = append(g.inbound[ti], c)
-	if g.lookahead == 0 || minDelay < g.lookahead {
-		g.lookahead = minDelay
-	}
-	return c
-}
-
-func (g *Group) index(e *Engine) int {
-	for i, ge := range g.engines {
-		if ge == e {
-			return i
-		}
-	}
-	panic("sim: engine is not a member of this group")
-}
-
-// inject drains every channel buffer into its destination engine, in
-// canonical order: destination shard index, then channel registration
-// order, then FIFO within a channel. Injection happens strictly between
-// windows, so no shard goroutine is running.
-func (g *Group) inject() {
-	for ti := range g.engines {
-		dst := g.engines[ti]
-		for _, c := range g.inbound[ti] {
-			for i := range c.buf {
-				m := c.buf[i]
-				dst.At(m.at, m.fn)
-				c.buf[i] = msg{}
-			}
-			c.buf = c.buf[:0]
-		}
-	}
-}
-
-// next returns the earliest pending event time across all shards.
-func (g *Group) next() (Time, bool) {
-	var best Time
-	ok := false
-	for _, e := range g.engines {
-		if at, has := e.NextAt(); has && (!ok || at < best) {
-			best, ok = at, true
-		}
-	}
-	return best, ok
-}
-
-// runTo advances one shard to end (inclusive). Engine.Run treats horizon 0
-// as "no horizon", but a window can legitimately close at time 0 (earliest
-// event at 0, lookahead 1 ns), so that case steps the due events directly.
-func runTo(e *Engine, end Time) {
-	if end > 0 {
-		e.Run(end)
-		return
-	}
-	for {
-		at, ok := e.NextAt()
-		if !ok || at > end {
-			return
-		}
-		e.Step()
-	}
-}
-
-// runAll advances every shard to end (inclusive), in parallel when the
-// group has more than one worker. Each shard is still a strictly
-// sequential engine; parallelism only exists between shards, and the
-// WaitGroup barrier publishes every shard's state (including its channel
-// buffers) back to the coordinator.
-func (g *Group) runAll(end Time) {
-	if g.workers <= 1 || len(g.engines) == 1 {
+// Run calls Engine.Run(horizon) on every engine (horizon 0 runs each until
+// idle) and returns when all have finished. A panic on a worker goroutine
+// is re-raised on the caller once every worker has stopped.
+func (g *Group) Run(horizon Time) {
+	w := min(g.workers, len(g.engines))
+	if w <= 1 {
 		for _, e := range g.engines {
-			runTo(e, end)
+			e.Run(horizon)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int, len(g.engines))
-	for i := range g.engines {
-		idx <- i
-	}
-	close(idx)
-	panics := make([]any, g.workers)
-	for w := 0; w < g.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		panics = make([]any, w)
+	)
+	wg.Add(w)
+	for k := range panics {
+		go func() {
 			defer wg.Done()
-			defer func() { panics[w] = recover() }()
-			for i := range idx {
-				runTo(g.engines[i], end)
+			defer func() { panics[k] = recover() }()
+			for i := int(next.Add(1)) - 1; i < len(g.engines); i = int(next.Add(1)) - 1 {
+				g.engines[i].Run(horizon)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, p := range panics {
 		if p != nil {
 			panic(p)
 		}
-	}
-}
-
-// Run advances every shard to the horizon (inclusive), window by window.
-// On return every engine's clock reads exactly horizon, matching
-// Engine.Run's contract, and every cross-shard message due by the horizon
-// has been delivered and executed. horizon must be positive.
-func (g *Group) Run(horizon Time) {
-	if horizon <= 0 {
-		panic("sim: Group.Run needs a positive horizon")
-	}
-	for {
-		g.inject()
-		next, ok := g.next()
-		if !ok || next > horizon {
-			// Nothing left inside the horizon: advance every clock to the
-			// horizon and stop. Channel buffers are empty (inject above),
-			// and no events run, so none refill.
-			g.runAll(horizon)
-			return
-		}
-		end := horizon
-		if g.lookahead > 0 {
-			end = next + g.lookahead - 1
-			if end > horizon {
-				end = horizon
-			}
-		}
-		g.runAll(end)
 	}
 }

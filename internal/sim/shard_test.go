@@ -1,36 +1,9 @@
 package sim
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
-
-// ---- differential harness ----
-//
-// The sharded scheduler is checked against a global-lockstep reference: the
-// same engines and channels, executed by one loop that always steps the
-// globally-earliest event and delivers cross-shard messages immediately.
-// That reference is obviously correct (it is just a sequential simulation
-// of the whole system) but has no parallelism. Conservative windowed
-// execution must produce the exact same per-shard event sequences.
-//
-// Event times come in two flavors. "Unique" workloads stamp every event
-// with globally-unique low bits, so (at) alone is a total order and the
-// reference's injection seq numbers cannot matter — group-vs-reference
-// equality is exact. "Tied" workloads deliberately collide timestamps;
-// there the group is compared against itself at different worker counts,
-// which must be byte-identical even under ties (worker count may never
-// change execution order).
-
-// shardG is the time granularity of the differential workload: all delays
-// are multiples of shardG, leaving the low bits free to uniquify events.
-const shardG = Time(1) << 20 // ≈1.05 ms
-
-type shardEv struct {
-	ID int
-	At Time
-}
 
 func mix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
@@ -42,302 +15,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// xchan abstracts "send a timestamped callback to another shard" so the
-// same workload drives both the Group's Channels and the reference's
-// immediate-delivery buffers.
-type xchan interface {
-	send(at Time, fn func())
-	minDelay() Time
-	dst() int
-}
-
-type groupChan struct {
-	c  *Channel
-	to int
-}
-
-func (g groupChan) send(at Time, fn func()) { g.c.Send(at, fn) }
-func (g groupChan) minDelay() Time          { return g.c.MinDelay() }
-func (g groupChan) dst() int                { return g.to }
-
-type refChan struct {
-	to  int
-	md  Time
-	buf []msg
-}
-
-func (r *refChan) send(at Time, fn func()) { r.buf = append(r.buf, msg{at: at, fn: fn}) }
-func (r *refChan) minDelay() Time          { return r.md }
-func (r *refChan) dst() int                { return r.to }
-
-// shardScript is a workload description parsed from fuzz bytes (or built
-// by the seeded tests): shard count, channel edges, and behavior salt.
-type shardScript struct {
-	n      int
-	edges  [][2]int
-	delays []Time
-	salt   uint64
-	unique bool
-	fuel   int
-	splay  int // initial events per shard
-}
-
-func parseShardScript(data []byte, unique bool) shardScript {
-	byteAt := func(i int) byte {
-		if len(data) == 0 {
-			return 0
-		}
-		return data[i%len(data)]
-	}
-	sc := shardScript{
-		n:      2 + int(byteAt(0))%3, // 2..4 shards
-		unique: unique,
-		fuel:   3 + int(byteAt(1))%4,
-		splay:  1 + int(byteAt(2))%3,
-	}
-	for _, b := range data {
-		sc.salt = sc.salt*131 + uint64(b)
-	}
-	// Ring edges always exist so every shard has an outbound channel.
-	for i := 0; i < sc.n; i++ {
-		sc.edges = append(sc.edges, [2]int{i, (i + 1) % sc.n})
-		sc.delays = append(sc.delays, shardG*Time(1+int(byteAt(3+i))%3))
-	}
-	// A few extra edges from byte pairs, duplicates and all directions
-	// welcome (parallel channels between the same shard pair are legal).
-	extras := int(byteAt(3+sc.n)) % 4
-	for j := 0; j < extras; j++ {
-		from := int(byteAt(4+sc.n+2*j)) % sc.n
-		to := int(byteAt(5+sc.n+2*j)) % sc.n
-		if from == to {
-			to = (to + 1) % sc.n
-		}
-		sc.edges = append(sc.edges, [2]int{from, to})
-		sc.delays = append(sc.delays, shardG*Time(1+int(byteAt(5+sc.n+2*j))%3))
-	}
-	return sc
-}
-
-// shardHarness owns the engines, logs, and id allocation for one run of a
-// workload. Per-shard state (ctr, logs[i]) is only touched by events
-// executing on that shard, so the harness is race-free under the group's
-// worker pool; the barrier's WaitGroup publishes everything back.
-type shardHarness struct {
-	sc      shardScript
-	engines []*Engine
-	out     [][]xchan
-	logs    [][]shardEv
-	ctr     []int
-}
-
-func newShardHarness(sc shardScript) *shardHarness {
-	h := &shardHarness{
-		sc:      sc,
-		engines: make([]*Engine, sc.n),
-		out:     make([][]xchan, sc.n),
-		logs:    make([][]shardEv, sc.n),
-		ctr:     make([]int, sc.n),
-	}
-	for i := range h.engines {
-		h.engines[i] = NewEngine(ShardSeed(12345, i))
-	}
-	return h
-}
-
-// alloc hands out a globally-unique event id from the calling shard's
-// private counter; ids encode (counter, shard) so no coordination is
-// needed. The cap bounds the workload.
-func (h *shardHarness) alloc(shard int) (int, bool) {
-	if h.ctr[shard] >= 4000 {
-		return 0, false
-	}
-	id := h.ctr[shard]*h.sc.n + shard
-	h.ctr[shard]++
-	return id, true
-}
-
-// eventAt picks the absolute time for event id created on shard now-time:
-// a granule-aligned base plus kmin..kmin+7 granules, plus either the id
-// (unique mode: total order on times) or a tiny salt-derived offset that
-// deliberately produces cross-shard ties.
-func (h *shardHarness) eventAt(shard, id int, kmin int64) Time {
-	now := h.engines[shard].Now()
-	hsh := mix64(uint64(id)*2654435761 + h.sc.salt)
-	k := kmin + int64(hsh>>32)%8
-	at := (now/shardG)*shardG + Time(k)*shardG
-	if h.sc.unique {
-		at += Time(id) // id < 16000 << shardG: low bits stay unique
-	} else if hsh&1 == 0 {
-		at += Time(hsh % 3)
-	}
-	return at
-}
-
-// fire is the single event body: log, then maybe spawn local children and
-// a cross-shard message, all decisions derived from the event id so both
-// implementations behave identically without sharing any RNG.
-func (h *shardHarness) fire(shard, id, fuel int) {
-	h.logs[shard] = append(h.logs[shard], shardEv{ID: id, At: h.engines[shard].Now()})
-	if fuel <= 0 {
-		return
-	}
-	hsh := mix64(uint64(id)*0x9E37 + h.sc.salt + uint64(fuel))
-	for j := uint64(0); j < hsh%3; j++ {
-		cid, ok := h.alloc(shard)
-		if !ok {
-			return
-		}
-		at := h.eventAt(shard, cid, 1)
-		cf := fuel - 1
-		h.engines[shard].At(at, func() { h.fire(shard, cid, cf) })
-	}
-	if len(h.out[shard]) > 0 && (hsh>>8)%2 == 0 {
-		c := h.out[shard][int(hsh>>16)%len(h.out[shard])]
-		cid, ok := h.alloc(shard)
-		if !ok {
-			return
-		}
-		kmin := int64(c.minDelay()/shardG) + 1
-		at := h.eventAt(shard, cid, kmin)
-		to, cf := c.dst(), fuel-1
-		c.send(at, func() { h.fire(to, cid, cf) })
-	}
-}
-
-func (h *shardHarness) seedInitial() {
-	for shard := 0; shard < h.sc.n; shard++ {
-		for j := 0; j < h.sc.splay; j++ {
-			id, ok := h.alloc(shard)
-			if !ok {
-				break
-			}
-			at := h.eventAt(shard, id, 1)
-			s, f := shard, h.sc.fuel
-			h.engines[shard].At(at, func() { h.fire(s, id, f) })
-		}
-	}
-}
-
-const shardHorizon = 200 * shardG
-
-// runGroup executes the workload under the sharded scheduler.
-func runGroup(sc shardScript, workers int) *shardHarness {
-	h := newShardHarness(sc)
-	g := NewGroup(h.engines...)
-	for i, e := range sc.edges {
-		c := g.Connect(h.engines[e[0]], h.engines[e[1]], sc.delays[i])
-		h.out[e[0]] = append(h.out[e[0]], groupChan{c: c, to: e[1]})
-	}
-	g.SetWorkers(workers)
-	h.seedInitial()
-	g.Run(shardHorizon)
-	return h
-}
-
-// runReference executes the workload under global lockstep: always step
-// the engine holding the globally-earliest event, delivering cross-shard
-// messages the moment the sending event returns.
-func runReference(sc shardScript) *shardHarness {
-	h := newShardHarness(sc)
-	var chans []*refChan
-	for i, e := range sc.edges {
-		c := &refChan{to: e[1], md: sc.delays[i]}
-		chans = append(chans, c)
-		h.out[e[0]] = append(h.out[e[0]], c)
-	}
-	h.seedInitial()
-	for {
-		for _, c := range chans {
-			for _, m := range c.buf {
-				h.engines[c.to].At(m.at, m.fn)
-			}
-			c.buf = c.buf[:0]
-		}
-		best, bi, ok := Time(0), -1, false
-		for i, e := range h.engines {
-			if at, has := e.NextAt(); has && (!ok || at < best) {
-				best, bi, ok = at, i, true
-			}
-		}
-		if !ok || best > shardHorizon {
-			break
-		}
-		h.engines[bi].Step()
-	}
-	for _, e := range h.engines {
-		e.Run(shardHorizon)
-	}
-	return h
-}
-
-func totalEvents(h *shardHarness) int {
-	n := 0
-	for _, l := range h.logs {
-		n += len(l)
-	}
-	return n
-}
-
-func compareLogs(t *testing.T, want, got *shardHarness, wantName, gotName string) {
-	t.Helper()
-	for shard := range want.logs {
-		a, b := want.logs[shard], got.logs[shard]
-		if len(a) != len(b) {
-			t.Fatalf("shard %d: %s fired %d events, %s fired %d", shard, wantName, len(a), gotName, len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("shard %d event %d: %s fired %+v, %s fired %+v", shard, i, wantName, a[i], gotName, b[i])
-			}
-		}
-	}
-	for i := range want.engines {
-		if wn, gn := want.engines[i].Now(), got.engines[i].Now(); wn != gn {
-			t.Fatalf("shard %d clock: %s at %v, %s at %v", i, wantName, wn, gotName, gn)
-		}
-	}
-}
-
-// checkShardScript runs one workload through the reference and the group
-// (sequential and parallel) and demands identical per-shard histories.
-// Reference comparison needs unique event times (the reference's
-// immediate injection assigns different seq numbers, so timestamp ties
-// would be resolved differently); worker-count identity must hold for
-// tied timestamps too.
-func checkShardScript(t *testing.T, data []byte) {
-	t.Helper()
-
-	uq := parseShardScript(data, true)
-	ref := runReference(uq)
-	seq := runGroup(uq, 1)
-	par := runGroup(uq, uq.n)
-	compareLogs(t, ref, seq, "reference", "group(workers=1)")
-	compareLogs(t, ref, par, "reference", "group(workers=n)")
-	if totalEvents(ref) == 0 {
-		t.Fatalf("degenerate workload: no events fired")
-	}
-
-	tied := parseShardScript(data, false)
-	seqT := runGroup(tied, 1)
-	parT := runGroup(tied, tied.n)
-	compareLogs(t, seqT, parT, "group(workers=1)", "group(workers=n)")
-}
-
-// TestGroupMatchesLockstepReference is the differential lockstep test:
-// randomized cross-shard workloads must fire the exact same per-shard
-// event sequences under conservative windowed execution (any worker
-// count) as under a sequential global-lockstep simulation.
-func TestGroupMatchesLockstepReference(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, 8+rng.Intn(24))
-		rng.Read(data)
-		checkShardScript(t, data)
-	}
-}
-
-// TestSingleShardGroupMatchesEngine: a one-engine group with no channels
-// must be the plain engine — same events, same clock, same Processed
+// TestSingleShardGroupMatchesEngine: a one-engine group must be the plain
+// engine — same events, same clock, same Processed
 // count, regardless of the requested worker count.
 func TestSingleShardGroupMatchesEngine(t *testing.T) {
 	build := func() (*Engine, *[]int) {
@@ -382,7 +61,7 @@ func TestSingleShardGroupMatchesEngine(t *testing.T) {
 func TestGroupIdleShardsReachHorizon(t *testing.T) {
 	a, b := NewEngine(1), NewEngine(2)
 	g := NewGroup(a, b)
-	g.Connect(a, b, Millisecond)
+	g.SetWorkers(2)
 	fired := false
 	a.At(3*Millisecond, func() { fired = true })
 	g.Run(10 * Millisecond)
@@ -394,93 +73,22 @@ func TestGroupIdleShardsReachHorizon(t *testing.T) {
 	}
 }
 
-// TestChannelSendValidation: sends that violate the declared minimum
-// latency — which would break the conservative window — must panic, as
-// must malformed group construction.
-func TestChannelSendValidation(t *testing.T) {
-	a, b := NewEngine(1), NewEngine(2)
-	g := NewGroup(a, b)
-	c := g.Connect(a, b, Millisecond)
-
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-
-	a.At(Millisecond, func() {
-		mustPanic("early send", func() { c.Send(a.Now()+Millisecond-1, func() {}) })
-		c.Send(a.Now()+Millisecond, func() {}) // exactly minDelay is legal
-	})
-	g.Run(2 * Millisecond)
-
-	mustPanic("zero min delay", func() { g.Connect(a, b, 0) })
-	mustPanic("self edge", func() { g.Connect(a, a, Millisecond) })
-	mustPanic("foreign engine", func() { g.Connect(a, NewEngine(3), Millisecond) })
-	mustPanic("empty group", func() { NewGroup() })
-	mustPanic("duplicate engine", func() { NewGroup(a, a) })
-	mustPanic("zero horizon", func() { g.Run(0) })
-}
-
-// TestNextAt: the peek must agree with what Step actually fires next,
-// across wheel slots, the heap overflow, and the empty queue.
-func TestNextAt(t *testing.T) {
-	e := NewEngine(5)
-	if _, ok := e.NextAt(); ok {
-		t.Fatalf("NextAt on empty engine returned ok")
-	}
-	offsets := []Time{
-		3 * Second, // heap overflow first, so the wheel min must win below
-		1, 2, Time(1) << wheelShift, 5 * Millisecond, 700 * Millisecond,
-		(Time(wheelSlots) << wheelShift) + 7,
-	}
-	for i, off := range offsets {
-		e.At(off, func() {})
-		_ = i
-	}
-	tied := false
-	for {
-		at, ok := e.NextAt()
-		if !ok {
-			break
+// TestGroupReraisesWorkerPanic: a panic inside one engine's event surfaces
+// on the caller of Run after the other workers finish their engines.
+func TestGroupReraisesWorkerPanic(t *testing.T) {
+	engines := []*Engine{NewEngine(1), NewEngine(2), NewEngine(3)}
+	engines[1].At(5*Millisecond, func() { panic("boom") })
+	fired := false
+	engines[2].At(5*Millisecond, func() { fired = true })
+	g := NewGroup(engines...)
+	g.SetWorkers(2)
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the worker's panic", r)
 		}
-		if !tied {
-			// A tie at the same time must not disturb the reported min.
-			tied = true
-			e.At(at, func() {})
-			if got, _ := e.NextAt(); got != at {
-				t.Fatalf("NextAt changed after scheduling a tie: %v -> %v", at, got)
-			}
+		if !fired {
+			t.Fatal("a sibling engine was abandoned by the panicking worker's peers")
 		}
-		before := e.Processed
-		if !e.Step() {
-			t.Fatalf("Step found nothing despite NextAt=%v", at)
-		}
-		if e.Now() != at {
-			t.Fatalf("NextAt said %v but Step fired at %v", at, e.Now())
-		}
-		if e.Processed != before+1 {
-			t.Fatalf("Step processed %d events", e.Processed-before)
-		}
-	}
-}
-
-// FuzzShardSync feeds arbitrary bytes as shard-workload scripts through
-// the same differential check: randomized shard counts, channel
-// topologies, latencies, and event cascades versus the global-lockstep
-// reference, plus worker-count identity under timestamp ties.
-func FuzzShardSync(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07})
-	f.Add([]byte{0xff, 0x3a, 0x91, 0x00, 0x7c, 0x15, 0xe2})
-	f.Add([]byte{0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02, 0x02})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || len(data) > 64 {
-			t.Skip()
-		}
-		checkShardScript(t, data)
-	})
+	}()
+	g.Run(10 * Millisecond)
 }

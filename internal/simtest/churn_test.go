@@ -98,8 +98,8 @@ func TestGeneratedChurnScenariosPassOracle(t *testing.T) {
 }
 
 // TestChurnTraceDeterminism pins replay and shard identity on a churn run:
-// same scenario ⇒ byte-identical trace, and (since churn forces the legacy
-// engine) every shard count must agree too.
+// same scenario ⇒ byte-identical trace, and every worker count must agree
+// too.
 func TestChurnTraceDeterminism(t *testing.T) {
 	sc := churnScenario()
 	if r := CheckDeterminism(sc); r.Has(InvTraceDetermin) {

@@ -187,12 +187,11 @@ func SnapshotReplayIdentity(sc Scenario) []Violation {
 // scenario at every given shard count (each a full Check under the
 // complete invariant oracle) and requires identical probe traces, event
 // counts, and obs snapshots — counters, sketch-backed histogram stats, and
-// the serialized windowed series — across all of them. Counts of 0 (legacy
-// single engine) may only be compared when the scenario's partition is a
-// single interaction component; counts >= 1 are comparable on any
-// scenario, since the component layout and per-shard seeds depend only on
-// the topology, never on the worker count. The first count's report is
-// returned with any identity violations appended.
+// the serialized windowed series — across all of them. Any counts are
+// comparable on any scenario, since the component layout and per-component
+// seeds depend only on the topology, never on the worker count. The first
+// count's report is returned with the other counts' oracle violations and
+// any identity violations appended.
 func ShardIdentity(sc Scenario, counts ...int) *Report {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4}
@@ -204,6 +203,7 @@ func ShardIdentity(sc Scenario, counts ...int) *Report {
 		alt := sc
 		alt.Shards = n
 		r2 := Check(alt)
+		r.Violations = append(r.Violations, r2.Violations...)
 		if r2.TraceHash != r.TraceHash || r2.Events != r.Events {
 			r.Violations = append(r.Violations, Violation{
 				Invariant: InvShardIdentity,

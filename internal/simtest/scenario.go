@@ -138,8 +138,8 @@ func (f FaultSpec) ratesAffecting() bool {
 // accept point per link (sessions to "server" k run single-path over link
 // k), Poisson or two-state MMPP arrivals, bounded-Pareto object sizes, and
 // admission limits small enough that overload sheds. The churn dimension
-// rides along in the repro JSON like every other; a scenario with Churn
-// always executes on the legacy single engine (exp.Spec.Churn forces it).
+// rides along in the repro JSON like every other; the churn servers span
+// every link, so a churn scenario is a single interaction component.
 type ChurnScenario struct {
 	Proto      string  `json:"proto"`
 	RatePerSec float64 `json:"rate"`
@@ -170,13 +170,12 @@ type Scenario struct {
 	// control on top of the static flows (which may be absent when churn is
 	// present — the workload itself creates connections).
 	Churn *ChurnScenario `json:"churn,omitempty"`
-	// Shards selects space-parallel execution (exp.Spec.Shards): 0 runs
-	// the legacy single engine, n >= 1 runs the component-sharded engine
-	// with n workers. Any n >= 1 must be output-identical (ShardIdentity),
-	// so the generator draws from {1, 2, 4} to exercise sequential,
-	// partial, and saturated worker pools. The field rides along in the
-	// SIMTEST_SCENARIO repro JSON, and the shrinker only reduces it to 0
-	// (failures that need sharding stay sharded in the repro).
+	// Shards is the worker count that advances the run's component
+	// engines (exp.Spec.Shards; 0 = the package default). Every value must
+	// be output-identical (ShardIdentity), so the generator draws from
+	// {1, 2, 4} to exercise sequential, partial, and saturated worker
+	// pools. The field rides along in the SIMTEST_SCENARIO repro JSON
+	// unchanged by the shrinker.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -559,7 +558,7 @@ func FromSeed(seed int64) Scenario {
 
 	// Drawn last, so the shard dimension never perturbs the draws above:
 	// every seed still generates the exact scenario it did before sharding
-	// existed, now sometimes executed by the sharded engine.
+	// existed, now sometimes advanced by several workers.
 	if rng.Float64() < 0.25 {
 		s.Shards = []int{1, 2, 4}[rng.Intn(3)]
 	}
@@ -746,9 +745,8 @@ func (s Scenario) buildSpec(bus *obs.Bus, o *Oracle) exp.Spec {
 		}
 		for fidx, f := range s.Faults {
 			l := net.Link(linkNames[f.Link])
-			// Faults schedule on the faulted link's own engine: under
-			// sharded execution (Shards >= 1) links live on per-component
-			// engines and net.Eng is only shard 0.
+			// Faults schedule on the faulted link's own engine: links live
+			// on per-component engines and net.Eng is only component 0's.
 			fi := netem.NewFaultInjector(l.Engine())
 			at := sim.FromSeconds(f.AtMs / 1000)
 			dur := sim.FromSeconds(f.DurMs / 1000)

@@ -7,7 +7,8 @@ import (
 
 // shardScenario is a hand-built two-component workload: two independent
 // links, each carrying its own single-path flow, plus a rate fault and a
-// policer so sharded fault scheduling and contract oracles both exercise.
+// policer so per-component fault scheduling and contract oracles both
+// exercise.
 func shardScenario() Scenario {
 	return Scenario{
 		Seed:       41,
@@ -22,21 +23,6 @@ func shardScenario() Scenario {
 		},
 		Faults: []FaultSpec{
 			{Kind: FaultRate, Link: 0, AtMs: 400, DurMs: 300, RateMbps: 3},
-		},
-	}
-}
-
-// singleComponentScenario keeps every flow on one shared link, so its
-// partition is a single component and the sharded engine must reproduce
-// the legacy engine byte for byte.
-func singleComponentScenario() Scenario {
-	return Scenario{
-		Seed:       43,
-		DurationMs: 1500,
-		Links:      []LinkSpec{{RateMbps: 10, DelayMs: 10, BufBytes: 18000}},
-		Flows: []FlowSpec{
-			{Proto: "mpcc-loss", Paths: [][]int{{0}}},
-			{Proto: "cubic", Paths: [][]int{{0}}},
 		},
 	}
 }
@@ -57,10 +43,11 @@ func TestShardCountIdentityRandom(t *testing.T) {
 }
 
 // TestShardIdentityMultiComponent pins the crafted two-component scenario:
-// identical output at shards 1/2/4 and a clean bill from the full oracle,
-// including the policer contract and the sharded rate fault.
+// identical output at shards 0 (the package default), 1, 2 and 4, and a
+// clean bill from the full oracle at every count, including the policer
+// contract and the per-component rate fault.
 func TestShardIdentityMultiComponent(t *testing.T) {
-	r := ShardIdentity(shardScenario(), 1, 2, 4)
+	r := ShardIdentity(shardScenario(), 0, 1, 2, 4)
 	if r.Failed() {
 		t.Fatalf("two-component scenario failed: %v\nfirst: %s", r.Invariants(), r.Violations[0].Detail)
 	}
@@ -69,31 +56,8 @@ func TestShardIdentityMultiComponent(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesLegacySingleComponent: with one interaction component
-// the sharded engine is the legacy engine — same seed, same build order,
-// same event stream — so the trace hashes must agree exactly.
-func TestShardedMatchesLegacySingleComponent(t *testing.T) {
-	sc := singleComponentScenario()
-	legacy := Check(sc)
-	if legacy.Failed() {
-		t.Fatalf("legacy run failed: %v", legacy.Invariants())
-	}
-	for _, shards := range []int{1, 2, 4} {
-		s := sc
-		s.Shards = shards
-		r := Check(s)
-		if r.Failed() {
-			t.Fatalf("shards=%d run failed: %v", shards, r.Invariants())
-		}
-		if r.TraceHash != legacy.TraceHash || r.Events != legacy.Events {
-			t.Fatalf("shards=%d trace %s (%d events) diverges from legacy %s (%d events)",
-				shards, r.TraceHash[:12], r.Events, legacy.TraceHash[:12], legacy.Events)
-		}
-	}
-}
-
 // TestShardsInReproCommand: the shard dimension rides along in the
-// one-line repro, so a sharding-dependent failure replays sharded.
+// one-line repro, so a failure replays at the worker count it was found at.
 func TestShardsInReproCommand(t *testing.T) {
 	sc := shardScenario()
 	sc.Shards = 4
@@ -110,44 +74,30 @@ func TestShardsInReproCommand(t *testing.T) {
 	}
 }
 
-// TestShrinkerShardReduction: a failure that reproduces unsharded sheds
-// the shard dimension; one that needs sharding keeps it through every
-// accepted reduction.
+// TestShrinkerShardReduction: the worker count cannot change a run's
+// output, so the shrinker never reduces Shards; a failing scenario keeps
+// its recorded count through every accepted reduction and into the repro.
 func TestShrinkerShardReduction(t *testing.T) {
 	sc := shardScenario()
 	sc.Shards = 2
-
-	// Failure independent of sharding: the reduction to Shards=0 applies.
-	reduced, ok := shrinkOnce(sc, InvQueueBound, false, func(c Scenario) bool { return true })
-	if !ok {
-		t.Fatal("shrinkOnce found no reduction")
-	}
-	for ok && reduced.Shards > 0 {
-		reduced, ok = shrinkOnce(reduced, InvQueueBound, false, func(c Scenario) bool { return true })
-	}
-	if reduced.Shards != 0 {
-		t.Fatalf("shard-independent failure kept Shards=%d", reduced.Shards)
-	}
-
-	// Failure only under sharding: every accepted reduction keeps it.
 	cur, steps := sc, 0
 	for {
-		next, ok := shrinkOnce(cur, InvQueueBound, false, func(c Scenario) bool { return c.Shards > 0 })
+		next, ok := shrinkOnce(cur, InvQueueBound, false, func(c Scenario) bool { return true })
 		if !ok {
 			break
 		}
-		if next.Shards == 0 {
-			t.Fatalf("shrinker accepted a reduction that dropped the needed shard dimension: %+v", next)
+		if next.Shards != 2 {
+			t.Fatalf("shrinker changed Shards: %+v", next)
 		}
 		cur = next
 		if steps++; steps > 100 {
 			t.Fatal("shrinker failed to converge")
 		}
 	}
-	if cur.Shards != 2 {
-		t.Fatalf("final scenario lost Shards: %+v", cur)
+	if steps == 0 {
+		t.Fatal("shrinkOnce found no reduction")
 	}
 	if !strings.Contains(cur.ReproCommand(), `"shards":2`) {
-		t.Fatalf("repro of shard-dependent failure lost shards: %s", cur.ReproCommand())
+		t.Fatalf("repro lost the shard count: %s", cur.ReproCommand())
 	}
 }

@@ -184,16 +184,6 @@ func shrinkOnce(sc Scenario, target string, keepLinks bool, fails func(Scenario)
 			}
 		}
 	}
-	if sc.Shards > 0 {
-		// Try the legacy single engine; if the failure needs sharded
-		// execution, Shards survives into the repro (clone preserves it
-		// through every other reduction).
-		c := clone(sc)
-		c.Shards = 0
-		if fails(c) {
-			return c, true
-		}
-	}
 	for i, f := range sc.Flows {
 		if f.StartMs > 0 {
 			c := clone(sc)

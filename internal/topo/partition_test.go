@@ -111,21 +111,3 @@ func TestPartitionSingleComponentMatchesPlainBuild(t *testing.T) {
 		t.Fatalf("link order differs: %v vs %v", net.LinkNames(), plain.LinkNames())
 	}
 }
-
-func TestLookahead(t *testing.T) {
-	delays := map[string]sim.Time{"a": 5 * sim.Millisecond, "b": 2 * sim.Millisecond, "c": 9 * sim.Millisecond}
-	delay := func(l string) sim.Time { return delays[l] }
-
-	// a→b crosses groups (upstream delay 5ms), b→c crosses back (2ms).
-	group := map[string]int{"a": 0, "b": 1, "c": 0}
-	la, ok := Lookahead(group, [][]string{{"a", "b", "c"}}, delay)
-	if !ok || la != 2*sim.Millisecond {
-		t.Fatalf("Lookahead = %v, %v; want 2ms, true", la, ok)
-	}
-
-	// Same group everywhere: no crossings.
-	same := map[string]int{"a": 0, "b": 0, "c": 0}
-	if _, ok := Lookahead(same, [][]string{{"a", "b", "c"}}, delay); ok {
-		t.Fatalf("Lookahead reported a crossing for a single-group partition")
-	}
-}

@@ -110,12 +110,6 @@ type (
 	BWTrace = netem.BWTrace
 	// RatePoint is one (time, rate) sample of a BWTrace or rate schedule.
 	RatePoint = netem.RatePoint
-	// EngineGroup runs several engines over one virtual clock in lookahead
-	// windows — the space-parallel engine (see internal/sim and DESIGN.md).
-	EngineGroup = sim.Group
-	// ShardChannel carries cross-shard events between two grouped engines,
-	// preserving exact delivery order.
-	ShardChannel = sim.Channel
 	// TopologyPartition groups a topology's links into independent
 	// interaction components, one engine shard each.
 	TopologyPartition = topo.Partition
@@ -328,12 +322,6 @@ func NewClos(eng *Engine, cfg ClosConfig) *Clos { return topo.NewClos(eng, cfg) 
 // DefaultClosConfig returns the scaled testbed configuration (DESIGN.md).
 func DefaultClosConfig() ClosConfig { return topo.DefaultClosConfig() }
 
-// NewEngineGroup groups engines for space-parallel execution. Connect
-// cross-shard channels, then Run the group to a horizon; with the same
-// seeds the event order — and thus every trace — is identical for any
-// worker count.
-func NewEngineGroup(engines ...*Engine) *EngineGroup { return sim.NewGroup(engines...) }
-
 // ShardSeed derives shard i's engine seed from a run seed, so a sharded
 // run's per-component randomness is a pure function of (seed, component).
 func ShardSeed(seed int64, i int) int64 { return sim.ShardSeed(seed, i) }
@@ -347,9 +335,10 @@ func PartitionTopology(t *Topology) *TopologyPartition { return topo.PartitionTo
 // canonical multi-component workload for the space-parallel engine.
 func Clusters(k int) *Topology { return topo.Clusters(k) }
 
-// SetShards sets the process-wide default shard worker count applied to
-// experiment runs that don't choose one (0 restores the single-engine
-// default). Output is identical for any value; see DESIGN.md.
+// SetShards sets the process-wide default number of worker goroutines that
+// advance one experiment run's component engines, for runs that don't
+// choose one (n < 1 means 1). Output is identical for any value; see
+// DESIGN.md.
 func SetShards(n int) { exp.SetShards(n) }
 
 // Experiments lists the available experiment ids with descriptions.
