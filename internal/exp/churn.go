@@ -126,6 +126,23 @@ type churnDriver struct {
 	stats  ChurnStats
 }
 
+// The driver's timers (arrival chain, retry, post-close drain check) are
+// pooled Schedule calls with static callbacks. A drain check holds the
+// closed connection's pool gauge, not the connection, so the connection is
+// not kept alive through the drain window.
+type retryArg struct {
+	d       *churnDriver
+	name    string
+	k       int
+	size    int64
+	attempt int
+}
+
+type drainCheck struct {
+	d     *churnDriver
+	gauge *transport.PoolGauge
+}
+
 // startChurn validates the spec, builds the servers and generators, and
 // schedules the first arrival. Call before eng.Run.
 func startChurn(eng *sim.Engine, s *Spec, net *topo.Net, bus *obs.Bus) *churnDriver {
@@ -161,7 +178,21 @@ func (d *churnDriver) chain(now sim.Time) {
 	if next >= d.horizon {
 		return
 	}
-	d.eng.At(next, d.arrive)
+	d.eng.Schedule(next, arriveEvent, d)
+}
+
+func arriveEvent(a any) { a.(*churnDriver).arrive() }
+
+func retryEvent(a any) {
+	r := a.(*retryArg)
+	r.d.attempt(r.name, r.k, r.size, r.attempt)
+}
+
+func drainCheckEvent(a any) {
+	c := a.(*drainCheck)
+	if recs, segs := c.gauge.InUse(); recs != 0 || segs != 0 {
+		c.d.stats.Leaks++
+	}
 }
 
 func (d *churnDriver) arrive() {
@@ -196,8 +227,7 @@ func (d *churnDriver) attempt(name string, k int, size int64, attempt int) {
 		}
 		d.stats.Retried++
 		d.bus.SessionRetry(now, name, delay, attempt+1)
-		next := attempt + 1
-		d.eng.At(now+delay, func() { d.attempt(name, k, size, next) })
+		d.eng.Schedule(now+delay, retryEvent, &retryArg{d, name, k, size, attempt + 1})
 		return
 	}
 	d.stats.Accepted++
@@ -245,11 +275,7 @@ func (d *churnDriver) closed(conn *transport.Connection, sv *transport.Server,
 	d.bus.SessionClose(at, name, sv.Name, r.String(), fct, conn.AckedBytes(), d.active)
 	if after := d.spec.DrainCheckAfter; after > 0 && at+after < d.horizon {
 		d.stats.LeakChecks++
-		d.eng.At(at+after, func() {
-			if recs, segs := conn.PoolInUse(); recs != 0 || segs != 0 {
-				d.stats.Leaks++
-			}
-		})
+		d.eng.Schedule(at+after, drainCheckEvent, &drainCheck{d, conn.PoolGauge()})
 	}
 }
 

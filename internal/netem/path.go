@@ -34,39 +34,61 @@ type Path struct {
 
 	probes *obs.Bus // nil when observability is disabled
 
-	// free recycles Packets: a path belongs to exactly one (single-threaded)
-	// engine, so a plain slice needs no locking — unlike a sync.Pool, which
-	// would cost an atomic per get/put and leak packets across engines.
-	free []*Packet
+	pool *packetPool // the engine's packet free list
 }
 
-// acquire returns a zeroed packet owned by this path. Packets are allocated
-// in slabs so a cold start provisions a batch per allocation and steady state
-// allocates nothing.
-func (p *Path) acquire() *Packet {
-	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+// packetPool recycles Packets for every path on one engine: paths come and
+// go with their sessions, but the packets they provisioned stay warm. An
+// engine is single-threaded, so a plain slice needs no locking — unlike a
+// sync.Pool, which would cost an atomic per get/put and leak packets across
+// engines.
+type packetPool struct {
+	free        []*Packet
+	provisioned int
+}
+
+type packetPoolKey struct{}
+
+func packetPoolOf(eng *sim.Engine) *packetPool {
+	return eng.Local(packetPoolKey{}, func() any { return new(packetPool) }).(*packetPool)
+}
+
+// get returns a zeroed pooled packet. Packets are allocated in slabs so a
+// cold start provisions a batch per allocation and steady state allocates
+// nothing.
+func (pp *packetPool) get() *Packet {
+	if n := len(pp.free); n > 0 {
+		pkt := pp.free[n-1]
+		pp.free[n-1] = nil
+		pp.free = pp.free[:n-1]
 		return pkt
 	}
 	slab := make([]Packet, 32)
+	pp.provisioned += len(slab)
 	for i := range slab {
-		slab[i].owner = p
+		slab[i].owner = pp
 		if i > 0 {
-			p.free = append(p.free, &slab[i])
+			pp.free = append(pp.free, &slab[i])
 		}
 	}
 	return &slab[0]
 }
 
-// release recycles pkt after its terminal event (delivery or drop).
-func (p *Path) release(pkt *Packet) {
-	if p == nil {
-		return // packet built outside a path pool (tests)
+// put recycles pkt after its terminal event (delivery or drop).
+func (pp *packetPool) put(pkt *Packet) {
+	if pp == nil {
+		return // packet built outside a pool (tests)
 	}
-	*pkt = Packet{owner: p}
-	p.free = append(p.free, pkt)
+	*pkt = Packet{owner: pp}
+	pp.free = append(pp.free, pkt)
+}
+
+// PooledPackets reports how many packets the engine's pool has handed out
+// and not yet recycled, and how many it has provisioned in total. Once the
+// engine is idle every packet has met its terminal event, so inUse is zero.
+func PooledPackets(eng *sim.Engine) (inUse, provisioned int) {
+	pp := packetPoolOf(eng)
+	return pp.provisioned - len(pp.free), pp.provisioned
 }
 
 // NewPath builds a path over links on engine eng. Every link must live on
@@ -79,7 +101,7 @@ func NewPath(eng *sim.Engine, name string, links ...*Link) *Path {
 			panic("netem: link " + l.Name + " lives on a different engine than path " + name)
 		}
 	}
-	return &Path{Name: name, eng: eng, links: links}
+	return &Path{Name: name, eng: eng, links: links, pool: packetPoolOf(eng)}
 }
 
 // Engine returns the engine the path schedules on.
@@ -171,7 +193,7 @@ func (p *Path) BottleneckRate() float64 {
 // link. The packet is owned by the path and recycled at its terminal event,
 // so neither sink nor onDrop may retain it past their return.
 func (p *Path) Send(size int, meta any, sink Sink, onDrop func(*Packet, DropReason)) {
-	pkt := p.acquire()
+	pkt := p.pool.get()
 	pkt.Size = size
 	pkt.SentAt = p.eng.Now()
 	pkt.Meta = meta
@@ -190,7 +212,7 @@ func (p *Path) Send(size int, meta any, sink Sink, onDrop func(*Packet, DropReas
 // package comment). Like Send, the delivered *Packet is recycled as soon as
 // the sink returns.
 func (p *Path) SendFeedback(meta any, sink Sink) {
-	pkt := p.acquire()
+	pkt := p.pool.get()
 	pkt.SentAt = p.eng.Now()
 	pkt.Meta = meta
 	pkt.sink = sink
@@ -213,7 +235,7 @@ func (p *Path) SendFeedback(meta any, sink Sink) {
 func feedbackDeliverEvent(a any) {
 	pkt := a.(*Packet)
 	pkt.sink.Deliver(pkt)
-	pkt.owner.release(pkt)
+	pkt.owner.put(pkt)
 }
 
 // onDrop is stored on the packet so transports learn about their own losses
@@ -223,7 +245,7 @@ func (pkt *Packet) forward() {
 		if pkt.sink != nil {
 			pkt.sink.Deliver(pkt)
 		}
-		pkt.owner.release(pkt)
+		pkt.owner.put(pkt)
 		return
 	}
 	link := pkt.hops[pkt.hop]

@@ -8,17 +8,20 @@
 // one simulation (Group) and independent simulations (exp.RunParallel) may
 // run concurrently.
 //
-// The event core is allocation-conscious and built for timer churn: the
+// The event core is allocation-conscious and built for timer churn. The
 // queue is a single-level hashed timing wheel (O(1) insert and cancel for
 // timers within ~half a second, which covers RTO, pacing, delayed-ACK and
-// monitor-interval timers) backed by an inlined monomorphic 4-ary heap that
-// holds the overflow — timers in the slot currently being drained and
-// far-future timers beyond the wheel span. The wheel never changes execution
-// order: every due timer passes through the heap before firing, so pops
-// follow the exact (at, seq) total order the heap alone would produce
-// (property-tested against a reference heap in wheel_test.go). Timers
-// created by Schedule and ScheduleRef recycle through a slab-backed
-// per-engine free list. See DESIGN.md "Performance architecture".
+// monitor-interval timers) plus two inlined monomorphic 4-ary heaps: a
+// small due heap holding the timers of the slots being drained, and a far
+// heap holding timers beyond the wheel span (connection watchdogs, retry
+// backoffs), which therefore never sit in the heap every event pops from.
+// The wheel never changes execution order: every timer passes through the
+// due heap before firing, so pops follow the exact (at, seq) total order a
+// single heap would produce (property-tested against a reference heap in
+// wheel_test.go). Timers created by Schedule and ScheduleRef recycle
+// through a slab-backed per-engine free list, and Local gives other layers
+// one engine-lifetime home for their own free lists. See DESIGN.md
+// "Performance architecture".
 package sim
 
 import (
@@ -59,9 +62,9 @@ func (t Time) String() string { return time.Duration(t).String() }
 // the slot of a timestamp is a shift, not a division; wheelSlots of them
 // span ≈537 ms, which covers every high-churn timer class the transport
 // arms (pacer ticks, delayed ACKs, RACK rechecks, monitor intervals, and
-// un-backed-off RTOs). Timers beyond the span overflow to the heap, which
-// restores them in order without any cascading because pops always compare
-// the heap head against the wheel frontier.
+// un-backed-off RTOs). Timers beyond the span wait in the far heap, which
+// restores them in order without any cascading because the frontier never
+// moves past the far head's slot.
 const (
 	wheelShift = 16
 	wheelSlots = 8192 // power of two
@@ -88,16 +91,18 @@ type Timer struct {
 	arg any
 	eng *Engine
 
-	// Queue position: index >= 0 is the heap slot; timerIdle (-1) means not
-	// queued; timerInWheel (-2) means linked into the wheel slot derived
-	// from at. Wheel slots are doubly-linked intrusive lists through
-	// next/prev so cancellation unlinks in O(1).
+	// Queue position: index >= 0 is the slot in the due heap, or in the far
+	// heap when far is set; timerIdle (-1) means not queued; timerInWheel
+	// (-2) means linked into the wheel slot derived from at. Wheel slots are
+	// doubly-linked intrusive lists through next/prev so cancellation
+	// unlinks in O(1).
 	index   int32
 	next    *Timer
 	prev    *Timer
 	gen     uint64 // incremented every time a pooled timer is recycled
 	stopped bool
 	pooled  bool // owned by the engine free list (Schedule/ScheduleRef)
+	far     bool // index is a far-heap position
 }
 
 const (
@@ -163,23 +168,27 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// heap holds the overflow: timers due in the slot currently being
-	// drained plus far-future timers beyond the wheel span. It is an
-	// inlined monomorphic 4-ary min-heap ordered by (at, seq).
-	heap []*Timer
+	// due holds the timers whose slot is at or before the frontier — the
+	// only heap anything pops from, so it stays as small as the slots
+	// being drained. far holds the timers that were past the wheel span
+	// when scheduled (watchdogs, backoffs, long RTOs) until the frontier
+	// reaches their slot.
+	due timerHeap
+	far timerHeap
 
 	// wheel is the single-level hashed timing wheel: slot i holds an
 	// unordered doubly-linked list of timers with at>>wheelShift ≡ i
 	// (mod wheelSlots), strictly after the frontier and within one span.
 	// occ is its occupancy bitmap, wheelCount the total resident timers,
 	// and frontier the absolute slot index up to which slots have been
-	// drained into the heap.
+	// drained into the due heap.
 	wheel      []*Timer
 	occ        []uint64
 	wheelCount int
 	frontier   int64
 
 	free     []*Timer // recycled Schedule/ScheduleRef timers
+	locals   []local  // Local values, in creation order
 	rng      *rand.Rand
 	stopped  bool
 	maxQueue int
@@ -203,12 +212,43 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// ---- timing wheel + 4-ary overflow heap, ordered by (at, seq) ----
+// Local returns the engine-lifetime value stored under key, creating it with
+// mk on first use. Layers above sim keep per-engine state here — the packet,
+// record and segment free lists every path and connection on the engine
+// share — and resolve it once when they build an object, so hot paths hold
+// a plain pointer. Keys compare with ==, like map keys; a package uses an
+// unexported empty struct type so no other package can collide with it.
+// Like the engine itself, Local is not safe for concurrent use.
+func (e *Engine) Local(key any, mk func() any) any {
+	for _, l := range e.locals {
+		if l.key == key {
+			return l.val
+		}
+	}
+	if e.locals == nil {
+		// Sized for its users, netem and transport: a short slice is
+		// cheaper to build and scan than a map, and engines are built by
+		// the thousand in sweeps.
+		e.locals = make([]local, 0, 2)
+	}
+	v := mk()
+	e.locals = append(e.locals, local{key, v})
+	return v
+}
+
+type local struct{ key, val any }
+
+// ---- timing wheel + due/far 4-ary heaps, ordered by (at, seq) ----
 //
-// Pop order is the total order (at, seq): a timer is only ever popped from
-// the heap, and the heap always receives every timer of a slot before the
-// first pop past that slot's frontier. The wheel's internal arrangement —
-// and in particular O(1) cancellations — cannot affect execution order.
+// Pop order is the total order (at, seq). Every pending timer sits in
+// exactly one place: the due heap (slot at or before the frontier), the
+// wheel (slot strictly after the frontier and within one span), or the far
+// heap (slot past the span when it was scheduled). A timer only ever pops
+// from the due heap, and advance moves the frontier to the earliest slot
+// the wheel or the far heap still holds, draining that slot from both into
+// the due heap before anything later can pop. The wheel's internal
+// arrangement — and in particular O(1) cancellations — cannot affect
+// execution order.
 
 func timerLess(a, b *Timer) bool {
 	if a.at != b.at {
@@ -217,16 +257,105 @@ func timerLess(a, b *Timer) bool {
 	return a.seq < b.seq
 }
 
-// enqueue routes a freshly scheduled timer to the wheel when its slot is
-// strictly after the frontier and within one span, and to the heap
-// otherwise (imminent or far-future).
+// timerHeap is a monomorphic 4-ary min-heap of timers ordered by (at, seq).
+// Each timer's index field tracks its position, so removal is O(log n).
+type timerHeap []*Timer
+
+func (h *timerHeap) push(t *Timer) {
+	t.index = int32(len(*h))
+	*h = append(*h, t)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest timer; the heap must be non-empty.
+func (h *timerHeap) pop() *Timer {
+	s := *h
+	t := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = nil
+	*h = s[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	t.index = timerIdle
+	return t
+}
+
+// remove deletes the timer at position i.
+func (h *timerHeap) remove(i int) {
+	s := *h
+	n := len(s) - 1
+	t := s[i]
+	if i != n {
+		s[i] = s[n]
+		s[i].index = int32(i)
+	}
+	s[n] = nil
+	*h = s[:n]
+	if i < n {
+		h.down(i)
+		h.up(i)
+	}
+	t.index = timerIdle
+}
+
+func (h timerHeap) up(i int) {
+	t := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !timerLess(t, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = int32(i)
+		i = p
+	}
+	h[i] = t
+	t.index = int32(i)
+}
+
+func (h timerHeap) down(i int) {
+	n := len(h)
+	t := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		// Find the smallest of up to four children.
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if timerLess(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !timerLess(h[m], t) {
+			break
+		}
+		h[i] = h[m]
+		h[i].index = int32(i)
+		i = m
+	}
+	h[i] = t
+	t.index = int32(i)
+}
+
+// enqueue routes a freshly scheduled timer to the due heap when its slot is
+// at or before the frontier, to the wheel when it is within one span after
+// it, and to the far heap otherwise.
 func (e *Engine) enqueue(t *Timer) {
-	if n := len(e.heap) + e.wheelCount + 1; n > e.maxQueue {
+	if n := e.Pending() + 1; n > e.maxQueue {
 		e.maxQueue = n
 	}
 	slot := int64(t.at >> wheelShift)
-	if slot <= e.frontier || slot >= e.frontier+wheelSlots {
-		e.push(t)
+	switch {
+	case slot <= e.frontier:
+		e.due.push(t)
+		return
+	case slot >= e.frontier+wheelSlots:
+		t.far = true
+		e.far.push(t)
 		return
 	}
 	idx := slot & wheelMask
@@ -245,8 +374,11 @@ func (e *Engine) enqueue(t *Timer) {
 // dequeue removes a pending timer from whichever structure holds it.
 func (e *Engine) dequeue(t *Timer) {
 	switch {
+	case t.index >= 0 && t.far:
+		t.far = false
+		e.far.remove(int(t.index))
 	case t.index >= 0:
-		e.removeAt(int(t.index))
+		e.due.remove(int(t.index))
 	case t.index == timerInWheel:
 		e.unlink(t)
 	}
@@ -271,22 +403,42 @@ func (e *Engine) unlink(t *Timer) {
 	e.wheelCount--
 }
 
-// advance moves the frontier to the next occupied wheel slot and drains it
-// into the heap, where (at, seq) ordering is restored. Empty slots are
-// skipped in bulk via the occupancy bitmap.
+// advance moves the frontier to the earlier of the next occupied wheel slot
+// and the far head's slot, and drains that slot from both into the due
+// heap, where (at, seq) ordering is restored. Empty wheel slots are skipped
+// in bulk via the occupancy bitmap. The caller guarantees that the wheel or
+// the far heap is non-empty.
 func (e *Engine) advance() {
-	next := e.nextOccupied()
+	next := int64(-1)
+	if e.wheelCount > 0 {
+		next = e.nextOccupied()
+	}
+	if len(e.far) > 0 {
+		if slot := int64(e.far[0].at >> wheelShift); next < 0 || slot < next {
+			// The far head comes first: the wheel slot this index maps to
+			// is empty (every wheel timer sits within one span of the old
+			// frontier), so only the far heap drains.
+			next = slot
+		}
+	}
 	e.frontier = next
 	idx := next & wheelMask
-	t := e.wheel[idx]
-	e.wheel[idx] = nil
-	e.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-	for t != nil {
-		n := t.next
-		t.next, t.prev = nil, nil
-		e.wheelCount--
-		e.push(t)
-		t = n
+	if e.occ[idx>>6]&(1<<(uint(idx)&63)) != 0 {
+		t := e.wheel[idx]
+		e.wheel[idx] = nil
+		e.occ[idx>>6] &^= 1 << (uint(idx) & 63)
+		for t != nil {
+			n := t.next
+			t.next, t.prev = nil, nil
+			e.wheelCount--
+			e.due.push(t)
+			t = n
+		}
+	}
+	for len(e.far) > 0 && int64(e.far[0].at>>wheelShift) <= next {
+		t := e.far.pop()
+		t.far = false
+		e.due.push(t)
 	}
 }
 
@@ -307,116 +459,17 @@ func (e *Engine) nextOccupied() int64 {
 }
 
 // nextTimer removes and returns the globally earliest pending timer, or nil
-// when no timers remain. Heap timers in slots at or before the frontier
-// beat every wheel timer (which all sit strictly after the frontier), so
-// the pop respects the (at, seq) total order.
+// when no timers remain. Due timers sit in slots at or before the frontier
+// and every other timer strictly after it, so the due head is the global
+// minimum whenever the due heap is non-empty.
 func (e *Engine) nextTimer() *Timer {
-	for {
-		if len(e.heap) > 0 {
-			slot := int64(e.heap[0].at >> wheelShift)
-			if e.wheelCount == 0 {
-				// Nothing to drain: fast-forward the frontier so newly
-				// scheduled near-term timers use the wheel again.
-				if slot > e.frontier {
-					e.frontier = slot
-				}
-				return e.popMin()
-			}
-			if slot <= e.frontier {
-				return e.popMin()
-			}
-		} else if e.wheelCount == 0 {
+	for len(e.due) == 0 {
+		if e.wheelCount == 0 && len(e.far) == 0 {
 			return nil
 		}
 		e.advance()
 	}
-}
-
-func (e *Engine) push(t *Timer) {
-	t.index = int32(len(e.heap))
-	e.heap = append(e.heap, t)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// popMin removes and returns the earliest heap timer.
-func (e *Engine) popMin() *Timer {
-	h := e.heap
-	t := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[0].index = 0
-	h[n] = nil
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-	t.index = timerIdle
-	return t
-}
-
-// removeAt deletes the timer at heap position i (used by eager Stop).
-func (e *Engine) removeAt(i int) {
-	h := e.heap
-	n := len(h) - 1
-	t := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].index = int32(i)
-	}
-	h[n] = nil
-	e.heap = h[:n]
-	if i < n {
-		e.siftDown(i)
-		e.siftUp(i)
-	}
-	t.index = timerIdle
-}
-
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	t := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !timerLess(t, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].index = int32(i)
-		i = p
-	}
-	h[i] = t
-	t.index = int32(i)
-}
-
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	t := h[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		// Find the smallest of up to four children.
-		min := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if timerLess(h[j], h[min]) {
-				min = j
-			}
-		}
-		if !timerLess(h[min], t) {
-			break
-		}
-		h[i] = h[min]
-		h[i].index = int32(i)
-		i = min
-	}
-	h[i] = t
-	t.index = int32(i)
+	return e.due.pop()
 }
 
 // ---- scheduling ----
@@ -535,15 +588,16 @@ func (e *Engine) Run(horizon Time) {
 			break
 		}
 		if horizon > 0 && next.at > horizon {
-			// Not due within the horizon: put it back (cheap — it lands in
-			// the heap or wheel according to the unchanged frontier).
+			// Not due within the horizon: put it back (cheap — its slot is
+			// at or before the unchanged frontier, so it lands in the due
+			// heap again).
 			e.enqueue(next)
 			e.now = horizon
 			return
 		}
 		e.fire(next)
 	}
-	if horizon > 0 && e.now < horizon && len(e.heap) == 0 && e.wheelCount == 0 {
+	if horizon > 0 && e.now < horizon && e.Pending() == 0 {
 		e.now = horizon
 	}
 }
@@ -561,7 +615,7 @@ func (e *Engine) Step() bool {
 
 // Pending returns the number of queued timers. Stopped timers are removed
 // from the queue eagerly, so they are never counted.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheelCount }
+func (e *Engine) Pending() int { return len(e.due) + len(e.far) + e.wheelCount }
 
 // MaxPending returns the high-water mark of queued timers over the engine's
 // lifetime — a proxy for how much simultaneous in-flight state a scenario

@@ -247,6 +247,22 @@ func TestProcessedCounter(t *testing.T) {
 	}
 }
 
+func TestLocal(t *testing.T) {
+	type keyA struct{}
+	type keyB struct{}
+	e := NewEngine(1)
+	made := 0
+	mk := func() any { made++; return new(int) }
+	a := e.Local(keyA{}, mk)
+	b := e.Local(keyB{}, mk)
+	if a == b || e.Local(keyA{}, mk) != a || e.Local(keyB{}, mk) != b || made != 2 {
+		t.Fatalf("Local made %d values, want one per key, each returned again", made)
+	}
+	if NewEngine(1).Local(keyA{}, mk) == a {
+		t.Fatal("a second engine shares the first engine's value")
+	}
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine(1)
 	var tick func()
@@ -260,4 +276,40 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ResetTimer()
 	e.At(0, tick)
 	e.Run(0)
+}
+
+// BenchmarkEngineScheduleRunPooled is the pooled, closure-free twin of
+// BenchmarkEngineScheduleRun: the Schedule path the transport and netem hot
+// loops use. Ticks are 10 µs apart, so events pass through the wheel. One op
+// is one tick.
+func BenchmarkEngineScheduleRunPooled(b *testing.B) { benchPooledChain(b, 0) }
+
+// BenchmarkEngineScheduleRunFarTimers runs the same chain with 512 timers
+// parked past the wheel span, each re-arming itself 3 s ahead when it fires:
+// the shape of a churn run, where hundreds of idle/handshake watchdogs and
+// retry backoffs sit seconds away while near-term events dispatch.
+func BenchmarkEngineScheduleRunFarTimers(b *testing.B) { benchPooledChain(b, 512) }
+
+func benchPooledChain(b *testing.B, far int) {
+	e := NewEngine(1)
+	n := 0
+	var tick func(any)
+	tick = func(any) {
+		n++
+		if n >= b.N {
+			e.Stop()
+			return
+		}
+		e.Schedule(e.Now()+10*Microsecond, tick, nil)
+	}
+	var park func(any)
+	park = func(any) { e.Schedule(e.Now()+3*Second, park, nil) }
+	for i := 0; i < far; i++ {
+		e.Schedule(3*Second+Time(i)*5*Millisecond, park, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Schedule(0, tick, nil)
+	e.Run(0)
+	b.ReportMetric(float64(e.Processed)/float64(b.N), "events/op")
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -52,6 +53,7 @@ type refQueue struct {
 	seq uint64
 	now Time
 	ids map[int]*refEntry
+	max int // high-water mark of len(h), the engine's MaxPending
 }
 
 func newRefQueue() *refQueue { return &refQueue{ids: map[int]*refEntry{}} }
@@ -61,6 +63,7 @@ func (q *refQueue) schedule(at Time, id int) {
 	e := &refEntry{at: at, seq: q.seq, id: id}
 	heap.Push(&q.h, e)
 	q.ids[id] = e
+	q.max = max(q.max, len(q.h))
 }
 
 // cancel removes id if still pending and reports whether it was.
@@ -98,8 +101,8 @@ func (q *refQueue) popOne() (int, bool) {
 //
 // A script is a deterministic sequence of rounds applied identically to a
 // sim.Engine and to the reference queue. Offsets are chosen to straddle
-// every wheel regime: the current slot (heap), near slots (wheel), the slot
-// boundary, the full span boundary, and far-future overflow (heap).
+// every queue regime: the current slot (due heap), near slots (wheel), the
+// slot boundary, the full span boundary, and far-future overflow (far heap).
 
 type op struct {
 	schedOffsets []Time // schedule one timer per offset (relative to now)
@@ -121,6 +124,11 @@ var interestingOffsets = []Time{
 	Time(wheelSlots) << wheelShift,   // first overflow slot
 	(Time(wheelSlots) << wheelShift) + 12345,
 	3 * Time(wheelSlots) << wheelShift, // deep overflow
+	// Just past the span: a far timer whose slot a later, shorter offset
+	// lands behind once the frontier moves, so the far head comes before
+	// the first occupied wheel slot (or shares it).
+	Time(wheelSlots+1) << wheelShift,
+	(Time(wheelSlots+2) << wheelShift) + 7,
 	Millisecond, 10 * Millisecond, 200 * Millisecond, Second,
 }
 
@@ -210,6 +218,10 @@ func runScript(t *testing.T, ops []op) {
 			t.Fatalf("engine stopped at horizon %d but reference still has id %d due at %d",
 				horizon, ref.h[0].id, ref.h[0].at)
 		}
+		if eng.Pending() != len(ref.h) || eng.MaxPending() != ref.max {
+			t.Fatalf("Pending/MaxPending = %d/%d, reference %d/%d",
+				eng.Pending(), eng.MaxPending(), len(ref.h), ref.max)
+		}
 	}
 	// Drain: whatever survives must still agree, in order.
 	eng.Run(0)
@@ -269,6 +281,204 @@ func TestWheelFrontierFastForward(t *testing.T) {
 	})
 }
 
+// TestFarHeapScripts runs the lockstep check on scripts that only the
+// due/far split can get wrong: a far timer whose slot the frontier reaches
+// while the wheel still holds later timers, wheel and far timers sharing a
+// slot (tied and interleaved at), far timers cancelled before and after the
+// frontier reaches them, and Run horizons that put a drained timer back
+// while far timers are still pending.
+func TestFarHeapScripts(t *testing.T) {
+	slot := Time(1) << wheelShift
+	span := Time(wheelSlots) << wheelShift
+	// In the first two scripts the 20-slot timer keeps the wheel non-empty
+	// (the first Run stops with it drained and put back), so the frontier
+	// does not simply jump to the far head over an empty wheel.
+	runScript(t, []op{
+		// far head (span+5 slots) first; the later wheel timer lands behind it
+		{schedOffsets: []Time{span + 5*slot, 10 * slot, 20 * slot}, runFor: 10 * slot},
+		{schedOffsets: []Time{span - 2*slot, span - 2*slot + 3}, runFor: span},
+	})
+	runScript(t, []op{
+		// tied at across the heaps: the far timer has the lower seq
+		{schedOffsets: []Time{span + 5*slot + 100, span + 5*slot + 150, 10 * slot, 20 * slot}, runFor: 10 * slot},
+		{schedOffsets: []Time{span - 5*slot + 100, span - 5*slot + 50, span - 5*slot + 100}, runFor: 2 * span},
+	})
+	runScript(t, []op{
+		// cancel far timers: one never reached, one after the frontier
+		// passed other far timers
+		{schedOffsets: []Time{span + slot, 2 * span, 3 * span, span + slot}, cancels: []int{1}, runFor: span + 2*slot},
+		{schedOffsets: []Time{Millisecond}, cancels: []int{2, 2}, runFor: 4 * span},
+	})
+	runScript(t, []op{
+		// horizons that stop inside drained slots while far timers wait
+		{schedOffsets: []Time{2 * span, 3 * span, 2*span + 1, Millisecond}, runFor: 2*span - 1},
+		{schedOffsets: []Time{0, 1, span}, runFor: 1},
+		{schedOffsets: []Time{span + 3}, runFor: span / 2},
+		{schedOffsets: []Time{5 * span}, runFor: 10 * span},
+	})
+}
+
+// recorder returns a Schedule callback that appends its string argument to
+// *got.
+func recorder(got *[]string) func(any) {
+	return func(a any) { *got = append(*got, a.(string)) }
+}
+
+func wantOrder(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestStopFarTimer stops timers resident in the far heap — its head, an
+// inner entry, and an At-created one — and checks eager removal and order.
+func TestStopFarTimer(t *testing.T) {
+	span := Time(wheelSlots) << wheelShift
+	e := NewEngine(1)
+	var got []string
+	rec := recorder(&got)
+	a := e.ScheduleRef(span+5, rec, "a")
+	b := e.ScheduleRef(2*span, rec, "b")
+	e.ScheduleRef(span+7, rec, "c")
+	d := e.At(3*span, func() { got = append(got, "d") })
+	for _, r := range []TimerRef{a, b} {
+		if !r.t.far || r.t.index < 0 {
+			t.Fatalf("timer at %v not in the far heap", r.t.at)
+		}
+	}
+	if len(e.far) != 4 || e.Pending() != 4 {
+		t.Fatalf("far heap %d, Pending %d; want 4, 4", len(e.far), e.Pending())
+	}
+	if !a.Stop() || !b.Stop() || !d.Stop() {
+		t.Fatal("Stop on a pending far timer returned false")
+	}
+	if a.Stop() || d.Stop() {
+		t.Fatal("second Stop returned true")
+	}
+	if len(e.far) != 1 || e.Pending() != 1 {
+		t.Fatalf("far heap %d, Pending %d after Stop; want 1, 1", len(e.far), e.Pending())
+	}
+	e.Run(0)
+	wantOrder(t, got, "c")
+}
+
+// TestFrontierJumpsToFarHead puts the far head's slot before the first
+// occupied wheel slot: advance must move the frontier to the far slot and
+// leave the wheel timer where it is.
+func TestFrontierJumpsToFarHead(t *testing.T) {
+	slot := Time(1) << wheelShift
+	e := NewEngine(1)
+	var got []string
+	rec := recorder(&got)
+	e.ScheduleRef((wheelSlots+5)*slot, rec, "far")
+	e.ScheduleRef(10*slot, rec, "near")
+	e.Step() // not Run, whose horizon check would pop (and drain) past it
+	if e.frontier != 10 {
+		t.Fatalf("frontier %d, want 10", e.frontier)
+	}
+	w := e.ScheduleRef((wheelSlots+8)*slot, rec, "wheel")
+	if w.t.index != timerInWheel {
+		t.Fatal("later timer is not wheel-resident")
+	}
+	e.Step()
+	if e.frontier != wheelSlots+5 || e.wheelCount != 1 {
+		t.Fatalf("after far pop: frontier %d wheelCount %d, want %d 1", e.frontier, e.wheelCount, wheelSlots+5)
+	}
+	e.Run(0)
+	wantOrder(t, got, "near", "far", "wheel")
+}
+
+// TestFarAndWheelShareSlot drains one slot from both structures: the
+// merged order follows (at, seq) whichever structure a timer came from.
+func TestFarAndWheelShareSlot(t *testing.T) {
+	slot := Time(1) << wheelShift
+	at := (wheelSlots+5)*slot + 100
+	e := NewEngine(1)
+	var got []string
+	rec := recorder(&got)
+	e.ScheduleRef(at, rec, "far-tied")
+	e.ScheduleRef(at+50, rec, "far-late")
+	e.ScheduleRef(10*slot, rec, "near")
+	e.Step()
+	w1 := e.ScheduleRef(at, rec, "wheel-tied")
+	w2 := e.ScheduleRef(at-50, rec, "wheel-early")
+	if w1.t.index != timerInWheel || w2.t.index != timerInWheel || len(e.far) != 2 {
+		t.Fatal("setup did not split the slot across wheel and far heap")
+	}
+	e.Run(0)
+	wantOrder(t, got, "near", "wheel-early", "far-tied", "wheel-tied", "far-late")
+}
+
+// TestRunHorizonPutBackWithFarPending stops Run between a drained far slot
+// and its timer's at: the put-back keeps the timer, the remaining far
+// timers and the counts intact, and later near timers still order first.
+func TestRunHorizonPutBackWithFarPending(t *testing.T) {
+	span := Time(wheelSlots) << wheelShift
+	e := NewEngine(1)
+	var got []string
+	rec := recorder(&got)
+	e.ScheduleRef(2*span+1000, rec, "far1")
+	e.ScheduleRef(3*span, rec, "far2")
+	e.ScheduleRef(Millisecond, rec, "near")
+	e.Run(2*span + 500) // drains far1's slot, then puts far1 back
+	if e.Now() != 2*span+500 || e.Pending() != 2 || e.MaxPending() != 3 {
+		t.Fatalf("now %v Pending %d MaxPending %d, want %v 2 3", e.Now(), e.Pending(), e.MaxPending(), 2*span+500)
+	}
+	if e.frontier != int64((2*span+1000)>>wheelShift) || len(e.due) != 1 || len(e.far) != 1 {
+		t.Fatalf("frontier %d due %d far %d: far1's slot was not drained", e.frontier, len(e.due), len(e.far))
+	}
+	e.ScheduleRef(e.Now()+1, rec, "near2")
+	e.ScheduleRef(e.Now()+span/2, rec, "mid")
+	if e.Pending() != 4 || e.MaxPending() != 4 {
+		t.Fatalf("Pending %d MaxPending %d, want 4 4", e.Pending(), e.MaxPending())
+	}
+	e.Run(0)
+	wantOrder(t, got, "near", "near2", "far1", "mid", "far2")
+}
+
+// TestPendingCountsFarTimers checks that Pending and MaxPending count the
+// far heap alongside the wheel and the due heap.
+func TestPendingCountsFarTimers(t *testing.T) {
+	span := Time(wheelSlots) << wheelShift
+	e := NewEngine(1)
+	noop := func(any) {}
+	for i := 1; i <= 3; i++ {
+		e.Schedule(Time(i)*span, noop, nil) // far
+	}
+	e.Schedule(Millisecond, noop, nil) // wheel
+	e.Schedule(0, noop, nil)           // due
+	if len(e.far) != 3 || e.wheelCount != 1 || len(e.due) != 1 {
+		t.Fatalf("far %d wheel %d due %d, want 3 1 1", len(e.far), e.wheelCount, len(e.due))
+	}
+	if e.Pending() != 5 || e.MaxPending() != 5 {
+		t.Fatalf("Pending %d MaxPending %d, want 5 5", e.Pending(), e.MaxPending())
+	}
+	e.Run(span + 1)
+	if e.Pending() != 2 || e.MaxPending() != 5 {
+		t.Fatalf("Pending %d MaxPending %d after run, want 2 5", e.Pending(), e.MaxPending())
+	}
+}
+
+// farHeapFuzzSeed encodes, in FuzzTimingWheel's byte language, a far timer
+// (574 ms) and a chain of ~66 ms wheel timers re-armed every ~42 ms of run
+// horizon, so the wheel never empties: the frontier reaches the far timer's
+// slot while the wheel already holds the next chain timer behind it.
+// cancelAt >= 0 also stops the far timer after that many chain links.
+func farHeapFuzzSeed(cancelAt int) []byte {
+	b := []byte{0, 14}
+	for i := 0; i < 15; i++ {
+		if i == cancelAt {
+			b = append(b, 1, 0)
+		}
+		b = append(b, 0, 251)
+		for j := 0; j < 10; j++ {
+			b = append(b, 2, 255)
+		}
+	}
+	return b
+}
+
 // FuzzTimingWheel feeds arbitrary byte strings as op scripts to the same
 // differential check, so the fuzzer can search for wheel-geometry edge
 // cases the random tests miss. Each byte pair encodes one action.
@@ -276,6 +486,8 @@ func FuzzTimingWheel(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x10, 0xff, 0x80, 0x40, 0x03, 0x07})
 	f.Add([]byte{0xff, 0xff, 0x00, 0x00, 0x55, 0xaa})
 	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90})
+	f.Add(farHeapFuzzSeed(-1))
+	f.Add(farHeapFuzzSeed(8))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 512 {
 			t.Skip()

@@ -6,10 +6,16 @@ import "mpcc/internal/sim"
 // values added at virtual times are summed into fixed-width buckets, from
 // which per-bucket rates can be derived. The zero value is not usable; build
 // one with NewSeries.
+//
+// Only buckets from the first one touched onward are stored: a series that
+// starts receiving samples late (a short session's series all start at
+// t=0) keeps its empty leading buckets implicit. They still count in Len and
+// read as zeros in Rates and RatesSince.
 type Series struct {
 	bucket  sim.Time
 	start   sim.Time
-	buckets []float64
+	first   int       // bucket index of buckets[0]
+	buckets []float64 // buckets first, first+1, ... (empty until the first Add)
 }
 
 // NewSeries returns a series whose buckets are width wide, starting at time
@@ -22,23 +28,38 @@ func NewSeries(start, width sim.Time) *Series {
 }
 
 // Add accumulates v into the bucket containing time at. Times before the
-// series start are ignored.
+// series start are ignored. Transports call it per delivered packet, so it
+// is kept small enough to inline.
 func (s *Series) Add(at sim.Time, v float64) {
 	if at < s.start {
 		return
 	}
 	idx := int((at - s.start) / s.bucket)
-	for len(s.buckets) <= idx {
+	if len(s.buckets) == 0 {
+		s.first = idx
+	}
+	if idx < s.first {
+		// Earlier than every stored bucket (out-of-order samples only):
+		// store the gap in front.
+		s.buckets = append(make([]float64, s.first-idx), s.buckets...)
+		s.first = idx
+	}
+	for idx-s.first >= len(s.buckets) {
 		s.buckets = append(s.buckets, 0)
 	}
-	s.buckets[idx] += v
+	s.buckets[idx-s.first] += v
 }
 
 // BucketWidth returns the bucket width.
 func (s *Series) BucketWidth() sim.Time { return s.bucket }
 
-// Len returns the number of buckets touched so far.
-func (s *Series) Len() int { return len(s.buckets) }
+// Len returns the number of buckets up to the last one touched so far.
+func (s *Series) Len() int {
+	if len(s.buckets) == 0 {
+		return 0
+	}
+	return s.first + len(s.buckets)
+}
 
 // Sum returns the total accumulated value.
 func (s *Series) Sum() float64 {
@@ -49,11 +70,19 @@ func (s *Series) Sum() float64 {
 	return t
 }
 
+// at returns the value of bucket i (zero before the first stored bucket).
+func (s *Series) at(i int) float64 {
+	if i < s.first {
+		return 0
+	}
+	return s.buckets[i-s.first]
+}
+
 // SumSince returns the total accumulated at or after time from.
 func (s *Series) SumSince(from sim.Time) float64 {
 	t := 0.0
 	for i, v := range s.buckets {
-		if s.start+sim.Time(i)*s.bucket >= from {
+		if s.start+sim.Time(s.first+i)*s.bucket >= from {
 			t += v
 		}
 	}
@@ -62,10 +91,10 @@ func (s *Series) SumSince(from sim.Time) float64 {
 
 // Rates returns per-bucket rates (value per second), one entry per bucket.
 func (s *Series) Rates() []float64 {
-	out := make([]float64, len(s.buckets))
+	out := make([]float64, s.Len())
 	secs := s.bucket.Seconds()
-	for i, v := range s.buckets {
-		out[i] = v / secs
+	for i := range out {
+		out[i] = s.at(i) / secs
 	}
 	return out
 }
@@ -74,9 +103,9 @@ func (s *Series) Rates() []float64 {
 func (s *Series) RatesSince(from sim.Time) []float64 {
 	var out []float64
 	secs := s.bucket.Seconds()
-	for i, v := range s.buckets {
+	for i, n := 0, s.Len(); i < n; i++ {
 		if s.start+sim.Time(i)*s.bucket >= from {
-			out = append(out, v/secs)
+			out = append(out, s.at(i)/secs)
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"mpcc/internal/sim"
@@ -60,6 +62,81 @@ func TestSeriesSumSinceAndRatesSince(t *testing.T) {
 	rs := s.RatesSince(sim.Second)
 	if len(rs) != 2 || rs[0] != 2 || rs[1] != 4 {
 		t.Fatalf("RatesSince = %v", rs)
+	}
+}
+
+// refSeries is the dense series: every bucket from the start is stored.
+type refSeries struct {
+	start, bucket sim.Time
+	buckets       []float64
+}
+
+func (r *refSeries) add(at sim.Time, v float64) {
+	if at < r.start {
+		return
+	}
+	idx := int((at - r.start) / r.bucket)
+	for len(r.buckets) <= idx {
+		r.buckets = append(r.buckets, 0)
+	}
+	r.buckets[idx] += v
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSeriesMatchesDenseReference checks that keeping leading buckets
+// implicit changes no result bit: late first samples, out-of-order samples
+// before the first stored bucket, and samples before the start, against a
+// series that stores every bucket.
+func TestSeriesMatchesDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		start := sim.Time(rng.Intn(3)) * sim.Second
+		width := sim.Time(1+rng.Intn(200)) * sim.Millisecond
+		s := NewSeries(start, width)
+		ref := &refSeries{start: start, bucket: width}
+		first := sim.Time(rng.Int63n(int64(20 * sim.Second)))
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			at := first + sim.Time(rng.Int63n(int64(5*sim.Second)))
+			if rng.Intn(6) == 0 {
+				at = sim.Time(rng.Int63n(int64(first + 1))) // earlier, maybe before start
+			}
+			v := rng.NormFloat64() * 1e4
+			s.Add(at, v)
+			ref.add(at, v)
+		}
+		from := sim.Time(rng.Int63n(int64(30 * sim.Second)))
+		if s.Len() != len(ref.buckets) {
+			t.Fatalf("trial %d: Len %d, dense %d", trial, s.Len(), len(ref.buckets))
+		}
+		dense := &Series{bucket: width, start: start, buckets: ref.buckets}
+		if math.Float64bits(s.Sum()) != math.Float64bits(dense.Sum()) ||
+			math.Float64bits(s.SumSince(from)) != math.Float64bits(dense.SumSince(from)) {
+			t.Fatalf("trial %d: Sum/SumSince differ", trial)
+		}
+		if !sameBits(s.Rates(), dense.Rates()) || !sameBits(s.RatesSince(from), dense.RatesSince(from)) {
+			t.Fatalf("trial %d: Rates/RatesSince differ", trial)
+		}
+	}
+}
+
+// TestSeriesLateStartStoresOneBucket: a series first touched 60 s in keeps
+// one stored bucket, not 600 leading zeros.
+func TestSeriesLateStartStoresOneBucket(t *testing.T) {
+	s := NewSeries(0, 100*sim.Millisecond)
+	s.Add(60*sim.Second, 1)
+	if len(s.buckets) != 1 || s.Len() != 601 {
+		t.Fatalf("stored %d buckets, Len %d; want 1, 601", len(s.buckets), s.Len())
 	}
 }
 

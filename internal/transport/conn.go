@@ -50,9 +50,9 @@ type Connection struct {
 	probeInterval sim.Time // revival-probe period for failed subflows
 	orphans       segQueue // segments stranded while every subflow was dead
 
-	// object pools (see pool.go for the reference-counting rules)
-	recFree []*pktRec
-	segFree []*segment
+	// the engine's object pools (see pool.go for the reference-counting
+	// rules)
+	pool *pools
 
 	probes *obs.Bus // nil when observability is disabled
 
@@ -70,10 +70,9 @@ type Connection struct {
 	handshakeTimeout sim.Time
 	watchdog         sim.TimerRef
 
-	// pool gauges: pooled objects currently outside the free lists (the
-	// churn leak check asserts these return to zero after teardown drains)
-	recLive int
-	segLive int
+	// pooled objects currently outside the free lists (the churn leak
+	// check asserts these return to zero after teardown drains)
+	live *PoolGauge
 
 	// forward-progress tracking: the longest observed interval between
 	// consecutive first-delivery events (hostile-path stall oracle).
@@ -166,6 +165,8 @@ func NewConnection(eng *sim.Engine, name string, opts ...ConnOption) *Connection
 		fct:           -1,
 		failThreshold: DefaultFailThreshold,
 		probeInterval: DefaultProbeInterval,
+		pool:          poolsOf(eng),
+		live:          new(PoolGauge),
 	}
 	for _, o := range opts {
 		o(c)

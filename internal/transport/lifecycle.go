@@ -122,10 +122,7 @@ func (s *Subflow) teardown() {
 		s.rxPending = nil
 		s.recycleBatch(b) // releases each record's network reference
 	}
-	// Dropping the open MIs orphans any pending miEndEvent timer (its
-	// identity check fails on an empty queue).
-	s.openMIs = s.openMIs[:0]
-	s.miHead = 0
+	s.dropOpenMIs()
 	for i := s.outHead; i < len(s.outstanding); i++ {
 		rec := s.outstanding[i]
 		if rec == nil {
@@ -197,6 +194,18 @@ func watchdogEvent(a any) {
 }
 
 // PoolInUse returns how many pooled packet records and segments the
-// connection currently holds outside its free lists. Both return to zero
-// once a closed connection's in-flight packets drain (the leak gauge).
-func (c *Connection) PoolInUse() (recs, segs int) { return c.recLive, c.segLive }
+// connection currently holds outside the engine free lists. Both return to
+// zero once a closed connection's in-flight packets drain (the leak gauge).
+func (c *Connection) PoolInUse() (recs, segs int) { return c.live.InUse() }
+
+// PoolGauge is one connection's count of pooled records and segments held
+// outside the engine free lists. It lives apart from the Connection so a
+// post-close drain audit can hold it without keeping the whole connection
+// reachable.
+type PoolGauge struct{ recs, segs int }
+
+// PoolGauge returns the connection's live gauge (see PoolInUse).
+func (c *Connection) PoolGauge() *PoolGauge { return c.live }
+
+// InUse returns the gauge's current record and segment counts.
+func (g *PoolGauge) InUse() (recs, segs int) { return g.recs, g.segs }

@@ -1,9 +1,15 @@
 package transport
 
-// Per-connection object pools. A connection belongs to exactly one
-// (single-threaded) engine, so plain slices need no locking. Objects are
-// allocated in slabs: a cold start provisions a batch per allocation and
-// steady state allocates nothing (guarded by the alloc regression test).
+import "mpcc/internal/sim"
+
+// Engine-lifetime object pools. Every connection on one (single-threaded)
+// engine draws its packet records, segments, ACK batches and MI rtt-sample
+// buffers from the same free lists, so plain slices need no locking and a
+// short session starts from objects its predecessors warmed. A connection
+// resolves the engine's pools once, at construction, and keeps the pointer.
+// Objects are allocated in slabs: a cold start provisions a batch per
+// allocation and steady state allocates nothing (guarded by the alloc
+// regression tests).
 //
 // Reference-counting rules:
 //
@@ -20,20 +26,41 @@ package transport
 // one per pktRec pointing at it. Queue pops transfer the reference to the
 // caller (usually straight into a new pktRec); lazily filtered delivered
 // segments (nextSegment, migrateFrom, adoptOrphans) release theirs.
+//
+// Each connection still counts the records and segments it holds outside
+// the free lists (PoolInUse); the churn drain audit asserts those gauges
+// return to zero after teardown.
 
 const poolSlab = 64
 
+type pools struct {
+	recs    []*pktRec
+	segs    []*segment
+	batches []*ackBatch
+	flts    [][]float64
+
+	recsMade, segsMade int // provisioned so far (the drain audit's totals)
+}
+
+type poolsKey struct{}
+
+func poolsOf(eng *sim.Engine) *pools {
+	return eng.Local(poolsKey{}, func() any { return new(pools) }).(*pools)
+}
+
 func (c *Connection) acquireRec() *pktRec {
-	c.recLive++
-	if n := len(c.recFree); n > 0 {
-		rec := c.recFree[n-1]
-		c.recFree[n-1] = nil
-		c.recFree = c.recFree[:n-1]
+	c.live.recs++
+	p := c.pool
+	if n := len(p.recs); n > 0 {
+		rec := p.recs[n-1]
+		p.recs[n-1] = nil
+		p.recs = p.recs[:n-1]
 		return rec
 	}
 	slab := make([]pktRec, poolSlab)
+	p.recsMade += len(slab)
 	for i := 1; i < len(slab); i++ {
-		c.recFree = append(c.recFree, &slab[i])
+		p.recs = append(p.recs, &slab[i])
 	}
 	return &slab[0]
 }
@@ -50,8 +77,8 @@ func (c *Connection) releaseRec(rec *pktRec) {
 	}
 	seg := rec.seg
 	*rec = pktRec{}
-	c.recLive--
-	c.recFree = append(c.recFree, rec)
+	c.live.recs--
+	c.pool.recs = append(c.pool.recs, rec)
 	c.releaseSeg(seg)
 }
 
@@ -63,20 +90,22 @@ func (rec *pktRec) RetainMeta() { rec.refs++ }
 func (rec *pktRec) ReleaseMeta() { rec.sf.conn.releaseRec(rec) }
 
 func (c *Connection) acquireSeg(off int64, size int) *segment {
+	p := c.pool
 	var seg *segment
-	if n := len(c.segFree); n > 0 {
-		seg = c.segFree[n-1]
-		c.segFree[n-1] = nil
-		c.segFree = c.segFree[:n-1]
+	if n := len(p.segs); n > 0 {
+		seg = p.segs[n-1]
+		p.segs[n-1] = nil
+		p.segs = p.segs[:n-1]
 	} else {
 		slab := make([]segment, poolSlab)
+		p.segsMade += len(slab)
 		for i := 1; i < len(slab); i++ {
-			c.segFree = append(c.segFree, &slab[i])
+			p.segs = append(p.segs, &slab[i])
 		}
 		seg = &slab[0]
 	}
 	seg.off, seg.size, seg.refs = off, size, 1
-	c.segLive++
+	c.live.segs++
 	return seg
 }
 
@@ -93,8 +122,8 @@ func (c *Connection) releaseSeg(seg *segment) {
 		panic("transport: segment over-released")
 	}
 	*seg = segment{}
-	c.segLive--
-	c.segFree = append(c.segFree, seg)
+	c.live.segs--
+	c.pool.segs = append(c.pool.segs, seg)
 }
 
 // ackBatch carries acknowledged records from the receiver back to the
@@ -109,10 +138,11 @@ type ackBatch struct {
 
 // newAckBatch returns a recycled (or fresh) batch seeded with rec.
 func (s *Subflow) newAckBatch(rec *pktRec) *ackBatch {
-	if n := len(s.ackBatches); n > 0 {
-		b := s.ackBatches[n-1]
-		s.ackBatches[n-1] = nil
-		s.ackBatches = s.ackBatches[:n-1]
+	p := s.conn.pool
+	if n := len(p.batches); n > 0 {
+		b := p.batches[n-1]
+		p.batches[n-1] = nil
+		p.batches = p.batches[:n-1]
 		b.recs = append(b.recs, rec)
 		return b
 	}
@@ -122,10 +152,11 @@ func (s *Subflow) newAckBatch(rec *pktRec) *ackBatch {
 // popFlt returns a recycled float buffer (length 0) for MI rtt samples, or
 // nil — a fresh MI then grows its own, which joins the pool when finalized.
 func (s *Subflow) popFlt() []float64 {
-	if n := len(s.fltPool); n > 0 {
-		f := s.fltPool[n-1]
-		s.fltPool[n-1] = nil
-		s.fltPool = s.fltPool[:n-1]
+	p := s.conn.pool
+	if n := len(p.flts); n > 0 {
+		f := p.flts[n-1]
+		p.flts[n-1] = nil
+		p.flts = p.flts[:n-1]
 		return f
 	}
 	return nil
@@ -133,7 +164,7 @@ func (s *Subflow) popFlt() []float64 {
 
 func (s *Subflow) pushFlt(f []float64) {
 	if cap(f) > 0 {
-		s.fltPool = append(s.fltPool, f[:0])
+		s.conn.pool.flts = append(s.conn.pool.flts, f[:0])
 	}
 }
 
@@ -145,5 +176,5 @@ func (s *Subflow) recycleBatch(b *ackBatch) {
 		s.conn.releaseRec(rec)
 	}
 	b.recs = b.recs[:0]
-	s.ackBatches = append(s.ackBatches, b)
+	s.conn.pool.batches = append(s.conn.pool.batches, b)
 }

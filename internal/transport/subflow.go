@@ -10,7 +10,7 @@ import (
 )
 
 // pktRec is the sender-side record of one transmitted packet. Records are
-// pooled per connection and reference-counted (see pool.go for the
+// pooled per engine and reference-counted (see pool.go for the
 // ownership rules); refs is the number of live references.
 type pktRec struct {
 	sf        *Subflow
@@ -104,14 +104,11 @@ type Subflow struct {
 	rxPending *ackBatch
 	rxTimer   sim.TimerRef
 
-	// allocation recycling: sinks are built once (a method value allocates
-	// on every conversion), ACK batches cycle sender→receiver within this
-	// subflow (which simulates both endpoints), and MI rtt-sample slices
-	// cycle between finalized and freshly opened monitor intervals.
-	rxSink     netem.Sink
-	ackSink    netem.Sink
-	ackBatches []*ackBatch
-	fltPool    [][]float64
+	// sinks are built once: a method value allocates on every conversion.
+	// (ACK batches and MI rtt-sample buffers recycle through the engine's
+	// pools; see pool.go.)
+	rxSink  netem.Sink
+	ackSink netem.Sink
 
 	// metrics
 	goodput        *stats.Series // first-delivery bytes, bucketed
@@ -347,6 +344,23 @@ func (s *Subflow) finalizeMIs() {
 		s.openMIs = s.openMIs[:0]
 		s.miHead = 0
 	}
+}
+
+// dropOpenMIs discards every open MI unfinalized, orphaning any pending
+// miEndEvent timer (its identity check fails on an empty queue). Their
+// rtt-sample buffers go back to the pool: a dropped MI is never finalized,
+// and a late ACK whose record still points at one appends to a fresh slice
+// of its own, never to a pooled buffer.
+func (s *Subflow) dropOpenMIs() {
+	for i := s.miHead; i < len(s.openMIs); i++ {
+		mi := s.openMIs[i]
+		s.pushFlt(mi.rttTimes)
+		s.pushFlt(mi.rttVals)
+		mi.rttTimes, mi.rttVals = nil, nil
+		s.openMIs[i] = nil
+	}
+	s.openMIs = s.openMIs[:0]
+	s.miHead = 0
 }
 
 // paceEvent and rtoEvent are static callbacks for sim.ScheduleRef:
